@@ -449,3 +449,7 @@ def run(argv=None) -> int:
 
 def main():  # console entry point
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

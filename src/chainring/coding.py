@@ -29,7 +29,6 @@ HOMOGENEOUS = "homogeneous"
 KINDS = (HAMMING, LEE, HOMOGENEOUS)
 
 MIN_DISTANCE_BUDGET = 1 << 20
-_THRESHOLD_REFERENCE_N = 1000
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,16 @@ class WeightModel:
     def distance_threshold(self) -> float:
         """Least relative radius whose ball exhausts the space asymptotically.
 
-        Closed forms: 1 - 1/p^s for Hamming, 1 for homogeneous.  For Lee the
-        value depends on the parity structure of p^s and is estimated
-        numerically: the least delta on a 1e-3 grid with g_n(delta) >=
-        1 - 1e-3 at a large reference n.  No exact constant is claimed.
+        Closed forms: 1 - 1/p^s for Hamming, 1 for homogeneous.  For Lee it
+        is the mean symbol weight over the maximal one, exactly: 1/2 when
+        p^s is even and (t+1)/(2t+1) when p^s = 2t+1 (3/5 on Z/5, 5/9 on Z/9).
         """
-        return _distance_threshold(self)
+        if self.kind == HAMMING:
+            return 1.0 - 1.0 / self.ring.modulus
+        if self.kind == HOMOGENEOUS:
+            return 1.0
+        mean = Fraction(sum(self.symbol_weights), self.ring.modulus)
+        return float(mean / self.max_symbol_weight)
 
 
 def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
@@ -203,29 +206,6 @@ def entropy_estimate(n: int, delta: float, model: WeightModel) -> ApproxReal:
     volume = profile.cumulative[cut]
     value = math.log(volume) / (n * math.log(model.ring.modulus))
     return ApproxReal(value, abs(value) * 1e-13 + 5e-324)
-
-
-_thresholds: dict[tuple, float] = {}
-
-
-def _distance_threshold(model: WeightModel) -> float:
-    if model.kind == HAMMING:
-        return 1.0 - 1.0 / model.ring.modulus
-    if model.kind == HOMOGENEOUS:
-        return 1.0
-    key = (model.kind, model.ring.p, model.ring.s)
-    hit = _thresholds.get(key)
-    if hit is not None:
-        return hit
-    n = _THRESHOLD_REFERENCE_N
-    result = 1.0
-    for i in range(1001):
-        delta = i / 1000.0
-        if entropy_estimate(n, delta, model).value >= 1.0 - 1e-3:
-            result = delta
-            break
-    _thresholds[key] = result
-    return result
 
 
 def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = MIN_DISTANCE_BUDGET):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
-from .errors import ParameterError, VerificationError
+from .errors import NonconvergentError, ParameterError, VerificationError
 from .modcount import (
     ChainRingSpec,
     count_by_type,
@@ -65,27 +65,21 @@ def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
 
 
 def _index_vectors(s: int, cap: int):
-    """All (k_2, ..., k_s) >= 0 with k_2 + ... + k_s <= cap, with partial sums."""
+    """All (k_1, ..., k_{s-1}) >= 0 with k_1 + ... + k_{s-1} <= cap.
 
-    def descend(i, remaining, prefix, partials):
-        if i == s - 1:
-            yield prefix, partials
+    Each comes with N_1 + ... + N_{s-1} and N_1^2 + ... + N_{s-1}^2 for the
+    suffix sums N_i = k_i + ... + k_{s-1}.
+    """
+
+    def descend(i, remaining, suffix, running, total, sum_sq):
+        if i == 0:
+            yield suffix, total, sum_sq
             return
-        running = partials[-1] if partials else 0
         for k in range(remaining + 1):
-            yield from descend(i + 1, remaining - k, prefix + (k,), partials + (running + k,))
+            n = running + k
+            yield from descend(i - 1, remaining - k, (k,) + suffix, n, total + n, sum_sq + n * n)
 
-    yield from descend(0, cap, (), ())
-
-
-def _divides_partial_sums(kvec, partials, s) -> bool:
-    # the two transcriptions of the summation condition are provably equal;
-    # evaluate both and insist on it
-    by_partials = sum(partials) % s == 0
-    by_weights = sum(k * (s - i) for i, k in enumerate(kvec, start=1)) % s == 0
-    if by_partials != by_weights:
-        raise VerificationError(f"divisibility conditions disagree at {kvec}")
-    return by_partials
+    yield from descend(s - 1, cap, (), 0, 0, 0)
 
 
 def _euler_floor(x: float, policy) -> float:
@@ -126,6 +120,50 @@ def _poch_table(x: float, cap: int) -> list[float]:
     return table
 
 
+def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> ApproxReal:
+    """Certified sum over k_1, ..., k_{s-1} >= 0 of x^E / ((x)_{k_1} ... (x)_{k_{s-1}}).
+
+    E is a quadratic form in the suffix sums N_i = k_i + ... + k_{s-1}:
+
+    - without ``congruence``, E = N_1^2 + ... + N_{s-1}^2, the Andrews-Gordon
+      series;
+    - with it, only index vectors with s | N_1 + ... + N_{s-1} count, and
+      E = N_1^2 + ... + N_{s-1}^2 - (N_1 + ... + N_{s-1})^2 / s, the limit
+      density series.  This inverse-Cartan form does not change when the index
+      vector is reversed, and reversal swaps suffix and prefix sums, so E and
+      the congruence agree with the module docstring's prefix-sum form term by
+      term.  Its least value at index sum T is T^2/s rather than T^2, so the
+      truncation runs on scale s.
+    """
+    scale = s if congruence else 1
+    cap, tail = _cutoff(x, s, scale, policy, _euler_floor(x, policy))
+    poch = _poch_table(x, cap)
+    log_x = math.log(x)
+
+    terms = []
+    for kvec, total, sum_sq in _index_vectors(s, cap):
+        if congruence and total % s:
+            continue
+        exponent = (s * sum_sq - total * total) / s if congruence else sum_sq
+        term = math.exp(exponent * log_x)
+        for k in kvec:
+            term /= poch[k]
+        terms.append(term)
+    value = math.fsum(terms)
+    rounding = value * (2 * cap + 2 * s + 16) * _EPS
+    return ApproxReal(value, tail + rounding)
+
+
+def _reciprocal(series: ApproxReal, policy: TruncationPolicy) -> ApproxReal:
+    """1/series, or NonconvergentError when no cap within the policy certifies it."""
+    if series.abs_error >= series.value:
+        raise NonconvergentError(
+            f"series not certified within max_index={policy.max_index}: "
+            f"error bound {series.abs_error:.3g} reaches the value {series.value:.3g}"
+        )
+    return series.reciprocal()
+
+
 def limit_free_density(ring: ChainRingSpec, policy: TruncationPolicy | None = None) -> ApproxReal:
     """Limit, as n grows, of the probability that a fixed-length submodule is free.
 
@@ -135,29 +173,8 @@ def limit_free_density(ring: ChainRingSpec, policy: TruncationPolicy | None = No
     """
     if ring.s == 1:
         return ApproxReal(1.0, 0.0)
-    s = ring.s
-    x = 1.0 / ring.q
     policy = policy or default_policy()
-    euler_low = _euler_floor(x, policy)
-    cap, tail = _cutoff(x, s, s, policy, euler_low)
-    poch = _poch_table(x, cap)
-    log_x = math.log(x)
-
-    terms = []
-    for kvec, partials in _index_vectors(s, cap):
-        if not _divides_partial_sums(kvec, partials, s):
-            continue
-        total = sum(partials)
-        sum_sq = sum(p * p for p in partials)
-        exponent = (s * sum_sq - total * total) / s
-        term = math.exp(exponent * log_x)
-        for k in kvec:
-            term /= poch[k]
-        terms.append(term)
-    series_value = math.fsum(terms)
-    rounding = series_value * (2 * cap + 2 * s + 16) * _EPS
-    series = ApproxReal(series_value, tail + rounding)
-    return series.reciprocal()
+    return _reciprocal(_multi_sum(1.0 / ring.q, ring.s, policy, congruence=True), policy)
 
 
 def andrews_gordon_series(qinv, s: int, policy: TruncationPolicy | None = None) -> ApproxReal:
@@ -172,26 +189,7 @@ def andrews_gordon_series(qinv, s: int, policy: TruncationPolicy | None = None) 
     x = float(qinv)
     if not 0.0 < x < 1.0:
         raise ParameterError("base must lie in (0, 1)")
-    policy = policy or default_policy()
-    euler_low = _euler_floor(x, policy)
-    cap, tail = _cutoff(x, s, 1, policy, euler_low)
-    poch = _poch_table(x, cap)
-    log_x = math.log(x)
-
-    terms = []
-    for nvec, _ in _index_vectors(s, cap):
-        total = 0
-        sum_sq = 0
-        for n_i in reversed(nvec):
-            total += n_i
-            sum_sq += total * total
-        term = math.exp(sum_sq * log_x)
-        for n_i in nvec:
-            term /= poch[n_i]
-        terms.append(term)
-    value = math.fsum(terms)
-    rounding = value * (2 * cap + 2 * s + 16) * _EPS
-    return ApproxReal(value, tail + rounding)
+    return _multi_sum(x, s, policy or default_policy(), congruence=False)
 
 
 def andrews_gordon_product(qinv, s: int, policy: TruncationPolicy | None = None) -> ApproxReal:
@@ -240,8 +238,8 @@ def density_bounds(ring: ChainRingSpec, policy: TruncationPolicy | None = None) 
     if ring.s < 2:
         raise ParameterError("density bounds need s >= 2")
     policy = policy or default_policy()
-    lower = andrews_gordon_series(1.0 / ring.q, ring.s, policy).reciprocal()
-    upper = andrews_gordon_series(float(ring.q) ** -(ring.s * ring.s - ring.s), ring.s, policy).reciprocal()
+    lower = _reciprocal(andrews_gordon_series(1.0 / ring.q, ring.s, policy), policy)
+    upper = _reciprocal(andrews_gordon_series(float(ring.q) ** -(ring.s * ring.s - ring.s), ring.s, policy), policy)
     value = limit_free_density(ring, policy)
     return DensityResult(lower=lower, value=value, upper=upper, ring=ring)
 

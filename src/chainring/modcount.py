@@ -214,9 +214,6 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     return Fraction(count_free(n, ring, rank), total_by_rank(n, ring, rank))
 
 
-_matrix_count_validated = False
-
-
 def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> int:
     """Number of m x n matrices over the ring whose row span has the given type.
 
@@ -225,35 +222,19 @@ def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> in
     R^m -> M is an m-tuple of elements of M and is surjective exactly when the
     images generate M modulo the maximal ideal, so with ell = length and
     K = rank the surjection count is q^((ell - K) m) * prod_{i<K} (q^m - q^i).
-    The scalar factor is therefore q^(m ell) (1/q)_m / (1/q)_{m-K}; this
-    reading is validated against exhaustive enumeration on first use, which
-    fails loudly if the formula ever disagrees.
+    The scalar factor is therefore q^(m ell) (1/q)_m / (1/q)_{m-K}; the test
+    suite checks this reading against exhaustive enumeration
+    (``simulate.validate_matrix_count_interpretation``).
     """
     _check_type(mtype, ring.s)
     if rank_of(mtype) > min(m, n):
         raise ParameterError(f"rank {rank_of(mtype)} exceeds min(m, n) = {min(m, n)}")
-    _ensure_matrix_count_validated()
     q = ring.q
     rank = rank_of(mtype)
     surjections = q ** ((length_of(mtype) - rank) * m)
     for i in range(rank):
         surjections *= q ** m - q ** i
     return count_by_type(n, ring, mtype) * surjections
-
-
-def _ensure_matrix_count_validated():
-    """Cross-check the surjection-count reading against exhaustive enumeration once."""
-    global _matrix_count_validated
-    if _matrix_count_validated:
-        return
-    _matrix_count_validated = True  # set first: the check itself calls the formula
-    try:
-        from . import simulate
-
-        simulate.validate_matrix_count_interpretation()
-    except BaseException:
-        _matrix_count_validated = False
-        raise
 
 
 def unimodular_probability(k: int, n: int, ring: ChainRingSpec) -> Fraction:

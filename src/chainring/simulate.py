@@ -274,42 +274,22 @@ _MC_CHUNK = 4096
 
 
 def monte_carlo_type_distribution(
-    m: int, n: int, ring: ConcreteRing, trials: int, seed: int, jobs: int = 1
+    m: int, n: int, ring: ConcreteRing, trials: int, seed: int
 ) -> TypeCensus:
     """Empirical type counts over ``trials`` uniform matrices.
 
     Trials are split into fixed-size chunks, chunk i drawing from stream i, so
-    the census is identical no matter how many workers execute the chunks.
+    the census depends only on the seed and the trial count.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    chunks = [
-        (stream, min(_MC_CHUNK, trials - stream * _MC_CHUNK))
-        for stream in range((trials + _MC_CHUNK - 1) // _MC_CHUNK)
-    ]
-
-    def run_chunk(args):
-        stream, count = args
-        rng = _generator(seed, stream)
-        batch = rng.integers(0, ring.modulus, size=(count, m, n), dtype=np.int64)
-        local: dict[tuple[int, ...], int] = {}
+    counts: dict[tuple[int, ...], int] = {}
+    for stream, lo in enumerate(range(0, trials, _MC_CHUNK)):
+        count = min(_MC_CHUNK, trials - lo)
+        batch = _generator(seed, stream).integers(0, ring.modulus, size=(count, m, n), dtype=np.int64)
         for mat in batch.tolist():
             t = _type_of(mat, ring)
-            local[t] = local.get(t, 0) + 1
-        return local
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(run_chunk, chunks))
-    else:
-        partials = [run_chunk(c) for c in chunks]
-
-    counts: dict[tuple[int, ...], int] = {}
-    for local in partials:
-        for t, c in local.items():
-            counts[t] = counts.get(t, 0) + c
+            counts[t] = counts.get(t, 0) + 1
     return TypeCensus(counts=counts, total=trials)
 
 

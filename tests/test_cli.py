@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chainring
 from chainring import cli, simulate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,6 +47,15 @@ class TestExitCodes:
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
         assert status == 1
         assert out.rstrip().endswith("FAIL")
+
+    def test_cap_hit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINRING_MAX_INDEX", "3")
+        for subject in ("limit", "bounds"):
+            status, out, err = run_cli(capsys, ["density", subject, "--q", "2", "--s", "4"])
+            assert status == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "max_index=3" in err
 
     def test_oracle_verify_passes(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
@@ -244,6 +257,19 @@ class TestEnvironmentOverride:
         # looser tail, larger certified error, value still correct
         assert doc["result"]["abs_error"] > 1e-9
         assert abs(doc["result"]["value"] - 0.59546) < 1e-4
+
+
+class TestModuleEntryPoint:
+    def test_python_m_version(self):
+        env = dict(os.environ)
+        src = str(Path(chainring.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "chainring.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stdout == "chainring 0.1.0\n"
 
 
 class TestCsvRejection:

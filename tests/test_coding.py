@@ -173,11 +173,10 @@ class TestEntropy:
 
     def test_thresholds(self):
         assert make_weight_model(HOMOGENEOUS, Z4).distance_threshold() == 1.0
-        lee_threshold = make_weight_model(LEE, Z4).distance_threshold()
-        # numerical estimates; no exact constant is claimed
-        assert 0.4 < lee_threshold < 0.6
-        z5_threshold = make_weight_model(LEE, ConcreteRing(p=5, s=1)).distance_threshold()
-        assert 0.5 < z5_threshold < 0.7
+        # Lee: mean symbol weight over the maximal one, exactly
+        assert make_weight_model(LEE, Z4).distance_threshold() == 0.5
+        assert make_weight_model(LEE, ConcreteRing(p=5, s=1)).distance_threshold() == 0.6
+        assert make_weight_model(LEE, ConcreteRing(p=3, s=2)).distance_threshold() == 5 / 9
 
 
 class TestMinDistance:

