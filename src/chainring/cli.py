@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__, density, modcount, render, simulate
@@ -46,10 +47,26 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParameterError(f"cannot parse integer list {text!r}") from exc
 
 
+def _digits(value: int) -> str:
+    """Decimal digits of an exact integer of any length.
+
+    ``str`` refuses integers beyond the interpreter's int-to-str digit limit;
+    ``decimal`` converts them exactly and leaves that process-wide limit alone.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
+def _ratio_text(x: Fraction, digits: int) -> str:
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)} = {render.render_ratio(x, digits)}"
+
+
 def _ratio_payload(x: Fraction, digits: int) -> dict:
     return {
-        "numerator": str(x.numerator),
-        "denominator": str(x.denominator),
+        "numerator": _digits(x.numerator),
+        "denominator": _digits(x.denominator),
         "decimal": render.render_ratio(x, digits),
     }
 
@@ -119,7 +136,8 @@ def cmd_count(args) -> tuple[int, str]:
         value = modcount.total_by_rank(args.n, ring, args.K)
     else:  # matrix
         value = modcount.matrix_count_by_type(args.m, args.n, ring, _parse_type(args.type))
-    return 0, _emit(args, {"count": str(value)}, [str(value)])
+    text = _digits(value)
+    return 0, _emit(args, {"count": text}, [text])
 
 
 # ---------------------------------------------------------------- prob
@@ -136,8 +154,7 @@ def cmd_prob(args) -> tuple[int, str]:
     else:  # unimodular
         ring = modcount.ChainRingSpec(q=args.q, s=args.s)
         value = modcount.unimodular_probability(args.k, args.n, ring)
-    decimal = render.render_ratio(value, args.precision)
-    text = f"{value.numerator}/{value.denominator} = {decimal}"
+    text = _ratio_text(value, args.precision)
     return 0, _emit(args, _ratio_payload(value, args.precision), [text])
 
 
@@ -219,9 +236,10 @@ def cmd_density(args) -> tuple[int, str]:
     lines = []
     payload_rows = []
     for mtype, count in pairs:
-        csv_rows.append([*mtype, str(count)])
-        lines.append(f"{','.join(map(str, mtype))} {count}")
-        payload_rows.append({"type": list(mtype), "count": str(count)})
+        digits = _digits(count)
+        csv_rows.append([*mtype, digits])
+        lines.append(f"{','.join(map(str, mtype))} {digits}")
+        payload_rows.append({"type": list(mtype), "count": digits})
     return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
 
 
@@ -260,11 +278,11 @@ def cmd_code(args) -> tuple[int, str]:
     model = _model(args)
     if subject == "ball":
         value = coding_mod.ball_volume(args.n, _parse_fraction(args.w), model, closed=args.closed)
-        return 0, _emit(args, {"volume": str(value)}, [str(value)])
+        text = _digits(value)
+        return 0, _emit(args, {"volume": text}, [text])
     if subject == "gv":
         value = coding_mod.gv_lower_bound(args.n, _parse_fraction(args.d), model)
-        decimal = render.render_ratio(value, args.precision)
-        text = f"{value.numerator}/{value.denominator} = {decimal}"
+        text = _ratio_text(value, args.precision)
         return 0, _emit(args, _ratio_payload(value, args.precision), [text])
     if subject == "entropy":
         value = coding_mod.entropy_estimate(args.n, args.delta, model)

@@ -20,7 +20,7 @@ from .errors import NonconvergentError, ParameterError
 _EPS = 2.0 ** -52
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gaussian_binomial(n: int, k: int, base):
     """q-analog of binomial(n, k): prod_{i<k} (b^n - b^i)/(b^k - b^i).
 
@@ -166,12 +166,29 @@ def balanced_multinomial(n: int, m, s: int, base) -> ApproxReal:
     index = int(index2)
     exponent = Fraction(s * n * n, 4) - m * m / Fraction(s)
     mult = q_multinomial(n, index, s, 1 / base)
-    log_value = float(exponent) * _log_fraction(base) + _log_fraction(Fraction(mult))
+    log_base, base_error = _log_fraction(base)
+    log_mult, mult_error = _log_fraction(Fraction(mult))
+    scale = float(exponent)
+    head = scale * log_base
+    log_value = head + log_mult
+    # the two logarithms nearly cancel, so the error of their sum is set by
+    # their sizes, not by the size of the result: float(exponent), the
+    # product and the sum each round once more
+    delta = abs(scale) * base_error + mult_error + 2 * _EPS * (abs(head) + abs(log_mult))
     value = math.exp(log_value)
-    return ApproxReal(value, abs(value) * 1e-12 + 5e-324)
+    return ApproxReal(value, value * (math.expm1(delta) + 2 * _EPS) + 5e-324)
 
 
-def _log_fraction(f: Fraction) -> float:
+def _log_fraction(f: Fraction) -> tuple[float, float]:
+    """Natural logarithm of a positive rational and a bound on its rounding error.
+
+    log2 of an integer is within _EPS (|log2| + 1.25): the integer rounds to
+    a float, or to a mantissa and an exact exponent, and log2 adds an ulp.
+    The difference, ln 2 and the product round once each.
+    """
     if f <= 0:
         raise ParameterError("logarithm of a nonpositive rational")
-    return (math.log2(f.numerator) - math.log2(f.denominator)) * math.log(2.0)
+    num = math.log2(f.numerator)
+    den = math.log2(f.denominator)
+    value = (num - den) * math.log(2.0)
+    return value, math.log(2.0) * _EPS * (abs(num) + abs(den) + 3) + 2 * _EPS * abs(value)

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import chainring
 from chainring import cli, simulate
+from chainring.modcount import ChainRingSpec, free_fraction_by_rank, total_by_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +60,15 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "max_index=3" in err
 
+    def test_exact_total_over_budget_exits_3(self, capsys):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, ["count", "length", "--n", "3000", "--q", "2", "--s", "3", "--ell", "4500"])
+        assert time.perf_counter() - start < 5
+        assert status == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err
+
     def test_oracle_verify_passes(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
         assert status == 0
@@ -82,6 +94,34 @@ class TestCountAndProb:
     def test_prob_unimodular(self, capsys):
         _, out, _ = run_cli(capsys, ["prob", "unimodular", "--k", "1", "--n", "2", "--q", "2"])
         assert out.strip() == "3/4 = 0.750000"
+
+
+    def test_integers_past_the_str_digit_limit_print_in_full(self, capsys):
+        # 180,000 digits, beyond the interpreter's default limit of 4300
+        ring = ChainRingSpec(q=2, s=2)
+        expected = total_by_rank(100000, ring, 3)
+        argv = ["count", "rank", "--n", "100000", "--q", "2", "--s", "2", "--K", "3"]
+        status, text, _ = run_cli(capsys, argv)
+        assert status == 0
+        assert int(Decimal(text)) == expected
+        status, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert status == 0
+        assert json.loads(out)["result"]["count"] + "\n" == text
+
+    def test_long_ratio_prints_in_full(self, capsys):
+        argv = ["prob", "free-rank", "--n", "300", "--q", "2", "--s", "2", "--K", "100"]
+        expected = free_fraction_by_rank(300, ChainRingSpec(q=2, s=2), 100)
+        status, out, _ = run_cli(capsys, argv)
+        assert status == 0
+        fraction, decimal_text = out.rstrip("\n").split(" = ")
+        numerator, denominator = fraction.split("/")
+        assert (int(Decimal(numerator)), int(Decimal(denominator))) == (expected.numerator, expected.denominator)
+        assert decimal_text == "1-7.9e-31"
+        status, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert status == 0
+        result = json.loads(out)["result"]
+        assert int(Decimal(result["numerator"])) == expected.numerator
+        assert int(Decimal(result["denominator"])) == expected.denominator
 
 
 class TestCodeAndDensity:

@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from chainring.errors import ParameterError
+from chainring import modcount
+from chainring.errors import BudgetExceededError, ParameterError
 from chainring.modcount import (
     ChainRingSpec,
     compositions,
@@ -165,7 +168,7 @@ class TestTotals:
         assert sum(total_by_rank(2, Z4, k) for k in range(3)) == z4_census.total == 15
 
     def test_lattice_partition_both_ways(self):
-        for q, s, n in [(2, 2, 4), (3, 2, 3), (2, 4, 3), (5, 3, 2)]:
+        for q, s, n in [(2, 2, 4), (3, 2, 3), (2, 4, 3), (5, 3, 2), (3, 4, 40)]:
             ring = ChainRingSpec(q=q, s=s)
             by_length = sum(total_by_length(n, ring, ell) for ell in range(n * s + 1))
             by_rank = sum(total_by_rank(n, ring, k) for k in range(n + 1))
@@ -176,6 +179,69 @@ class TestTotals:
             total_by_length(2, Z4, 5)
         with pytest.raises(ParameterError):
             total_by_rank(2, Z4, 3)
+
+    def test_totals_equal_type_sums(self):
+        # the definition: one count_by_type per type of that rank or length;
+        # compositions lists every type of each rank once (types_of_length's
+        # set is checked against brute force above)
+        for q in (2, 3, 4):
+            for s in range(1, 7):
+                ring = ChainRingSpec(q=q, s=s)
+                for n in range(13):
+                    by_rank = [0] * (n + 1)
+                    by_length = [0] * (n * s + 1)
+                    for k in range(n + 1):
+                        for t in compositions(s, k):
+                            count = count_by_type(n, ring, t)
+                            by_rank[k] += count
+                            by_length[length_of(t)] += count
+                    assert [total_by_rank(n, ring, k) for k in range(n + 1)] == by_rank, (q, s, n)
+                    assert [total_by_length(n, ring, ell) for ell in range(n * s + 1)] == by_length, (q, s, n)
+
+    def test_totals_do_not_enumerate_types(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the totals must not walk the types")
+
+        for name in ("count_by_type", "compositions", "types_of_length"):
+            monkeypatch.setattr(modcount, name, forbidden)
+        ring = ChainRingSpec(q=7, s=3)
+        # __wrapped__ skips the result caches
+        assert total_by_rank.__wrapped__(9, ring, 4) > 0
+        assert total_by_length.__wrapped__(9, ring, 13) > 0
+
+    # first 16 hex digits of sha256(format(value, "x")), recorded with the
+    # type-sum definition
+    @pytest.mark.parametrize(
+        "fn,n,q,s,arg,bits,digest",
+        [
+            (total_by_rank, 300, 2, 2, 100, 40002, "23508594e5b9e2a4"),
+            (total_by_length, 240, 3, 2, 280, 44381, "ab1f13925f1f9b4b"),
+            (total_by_rank, 150, 2, 3, 75, 16879, "2fe574e57ef4c993"),
+            (total_by_length, 72, 3, 4, 144, 8218, "3781a217597dc719"),
+            (total_by_rank, 55, 2, 5, 25, 3752, "a0316333b52f633b"),
+            (total_by_length, 40, 5, 5, 90, 4598, "675cd6c0c19474d3"),
+        ],
+    )
+    def test_large_totals_pinned(self, fn, n, q, s, arg, bits, digest):
+        value = fn(n, ChainRingSpec(q=q, s=s), arg)
+        assert value.bit_length() == bits
+        assert hashlib.sha256(format(value, "x").encode()).hexdigest()[:16] == digest
+
+
+class TestTotalBudget:
+    def test_oversized_total_refused_before_work(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="budget"):
+            total_by_length(3000, ChainRingSpec(q=2, s=3), 4500)
+        with pytest.raises(BudgetExceededError):
+            free_fraction_by_rank(4000, ChainRingSpec(q=2, s=3), 2000)
+        assert time.perf_counter() - start < 2
+
+    def test_long_thin_total_within_budget(self):
+        # 600k bits, but a four-term chain sum
+        ring = ChainRingSpec(q=2, s=2)
+        expected = sum(count_by_type(100000, ring, t) for t in compositions(2, 3))
+        assert total_by_rank(100000, ring, 3) == expected
 
 
 class TestFreeFractions:
