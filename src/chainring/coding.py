@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .approx import ApproxReal
 from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
-from .simulate import ConcreteRing, RingMatrix, is_rect_unimodular, sample_matrix
+from .simulate import ConcreteRing, RingMatrix, _all_vectors, is_rect_unimodular, sample_matrix
 
 HAMMING = "hamming"
 LEE = "lee"
@@ -50,16 +51,12 @@ class WeightModel:
     def distance_threshold(self) -> float:
         """Least relative radius whose ball exhausts the space asymptotically.
 
-        Closed forms: 1 - 1/p^s for Hamming, 1 for homogeneous.  For Lee it
-        is the mean symbol weight over the maximal one, exactly: 1/2 when
-        p^s is even and (t+1)/(2t+1) when p^s = 2t+1 (3/5 on Z/5, 5/9 on Z/9).
+        For every weight this is the mean symbol weight over the maximal one,
+        exactly, rounded once: 1 - 1/p^s for Hamming and 1 - 1/p for
+        homogeneous (1/2 on Z/4, 2/3 on Z/9).  For Lee it is 1/2 when p^s is
+        even and (t+1)/(2t+1) when p^s = 2t+1 (3/5 on Z/5, 5/9 on Z/9).
         """
-        if self.kind == HAMMING:
-            return 1.0 - 1.0 / self.ring.modulus
-        if self.kind == HOMOGENEOUS:
-            return 1.0
-        mean = Fraction(sum(self.symbol_weights), self.ring.modulus)
-        return float(mean / self.max_symbol_weight)
+        return float(Fraction(sum(self.symbol_weights), self.ring.modulus) / self.max_symbol_weight)
 
 
 def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
@@ -119,17 +116,11 @@ class BallProfile:
     cumulative: tuple[int, ...]
 
 
-_profiles: dict[tuple, BallProfile] = {}
-
-
+@lru_cache(maxsize=64)
 def ball_profile(n: int, model: WeightModel) -> BallProfile:
     """Exact weight distribution of R^n via n-fold convolution of the symbol histogram."""
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    key = (model.kind, model.ring.p, model.ring.s, n)
-    hit = _profiles.get(key)
-    if hit is not None:
-        return hit
     max_int = max(model.int_weights)
     histogram = [0] * (max_int + 1)
     for w in model.int_weights:
@@ -148,9 +139,7 @@ def ball_profile(n: int, model: WeightModel) -> BallProfile:
     for c in counts:
         running += c
         cumulative.append(running)
-    profile = BallProfile(n=n, scale=model.scale, cumulative=tuple(cumulative))
-    _profiles[key] = profile
-    return profile
+    return BallProfile(n=n, scale=model.scale, cumulative=tuple(cumulative))
 
 
 def ball_volume(n: int, radius, model: WeightModel, closed: bool = True) -> int:
@@ -240,19 +229,10 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
     return Fraction(best, model.scale)
 
 
-_coeff_blocks: dict[tuple, np.ndarray] = {}
-
-
+@lru_cache(maxsize=1)  # keep at most one large block around
 def _coeff_block(mod: int, k: int) -> np.ndarray:
-    key = (mod, k)
-    block = _coeff_blocks.get(key)
-    if block is None:
-        from .simulate import _all_vectors
-
-        block = _all_vectors(mod, k).astype(np.float32)
-        block.setflags(write=False)
-        _coeff_blocks.clear()  # keep at most one large block around
-        _coeff_blocks[key] = block
+    block = _all_vectors(mod, k).astype(np.float32)
+    block.setflags(write=False)
     return block
 
 

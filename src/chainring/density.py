@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
-from .errors import NonconvergentError, ParameterError, VerificationError
+from .errors import NonconvergentError, ParameterError
 from .modcount import (
     ChainRingSpec,
     count_by_type,
@@ -39,18 +39,13 @@ _EPS = 2.0 ** -52
 def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
     """Evaluate v C^{-1} v^T with C^{-1}_{ij} = min(i, j) - ij/s, exactly.
 
-    Computed both by direct matrix evaluation and by the closed form
-    K_2^2 + ... + K_s^2 - (K_2 + ... + K_s)^2 / s (partial sums K); the two
-    must agree exactly or a VerificationError is raised.
+    Uses the closed form K_2^2 + ... + K_s^2 - (K_2 + ... + K_s)^2 / s in the
+    partial sums K; the tests check it against the matrix sum.
     """
     if s < 2:
         raise ParameterError("the quadratic form needs s >= 2")
     if len(kvec) != s - 1:
         raise ParameterError(f"index vector must have {s - 1} entries, got {len(kvec)}")
-    direct = Fraction(0)
-    for i in range(1, s):
-        for j in range(1, s):
-            direct += kvec[i - 1] * kvec[j - 1] * (Fraction(min(i, j)) - Fraction(i * j, s))
     partial = 0
     sum_sq = 0
     total = 0
@@ -58,10 +53,7 @@ def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
         partial += k
         sum_sq += partial * partial
         total += partial
-    closed = Fraction(sum_sq) - Fraction(total * total, s)
-    if direct != closed:
-        raise VerificationError(f"quadratic form mismatch: {direct} != {closed} at {kvec}")
-    return closed
+    return Fraction(sum_sq) - Fraction(total * total, s)
 
 
 def _index_vectors(s: int, cap: int):
@@ -303,7 +295,7 @@ TABLE2_GRID = (
 )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def table1_rows(policy: TruncationPolicy | None = None) -> tuple[tuple[int, int, DensityResult], ...]:
     """Density sandwich for the standard grid s in {2,3,4} x q in {2,3,5,7,11}."""
     return tuple((s, q, density_bounds(ChainRingSpec(q=q, s=s), policy)) for s, q in TABLE1_GRID)

@@ -4,13 +4,16 @@ and seeded random matrix ensembles.
 The census enumerator is the ground truth the counting formulas are checked
 against: it walks every n x n generator matrix (any submodule of R^n needs at
 most n generators), dedupes row spans, and classifies each distinct module by
-diagonal reduction.  Randomness comes from numpy's PCG64 seeded through
+diagonal reduction.  Every type comes from one reduction that works on a
+whole stack of matrices at once and uses no inverses (see ``_types``).
+Randomness comes from numpy's PCG64 seeded through
 SeedSequence(seed, spawn_key=(stream,)); a fixed (seed, stream) pair always
 reproduces the same matrix.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,73 +87,57 @@ def valuation(x: int, ring: ConcreteRing) -> int:
     return v
 
 
-def _type_of(work: list[list[int]], ring: ConcreteRing) -> tuple[int, ...]:
-    """Diagonal reduction in place; returns the type of the row span.
+def _types(mats, ring: ConcreteRing) -> np.ndarray:
+    """Types of the row spans of a (B, m, n) stack, one row of s counts each.
 
-    Repeatedly move an entry of minimal valuation v to the pivot: it is a unit
-    times p^v, so after scaling by the unit inverse its row and column clear
-    with exact divisions (every remaining entry has valuation >= v).  Each
-    pivot p^v with v < s contributes one cyclic summand of length s - v.
+    Diagonal reduction of the whole stack at once.  At each step the pivot is
+    the row-major first entry of least valuation v in the remaining block,
+    swapped to its corner.  It is u p^v with u a unit, and every entry below
+    it is some w p^v, so row <- u row - w pivot_row clears the column without
+    any inverse; scaling a row by a unit keeps the span.  Clearing the pivot
+    row is skipped: it never changes the block later steps read.  Each pivot
+    p^v with v < s is one cyclic summand of length s - v.  While p^s < 2^31 the
+    entries are int64 and every product stays below 2^62; larger moduli use
+    Python ints.
     """
-    mod = ring.modulus
-    p, s = ring.p, ring.s
-    m = len(work)
-    n = len(work[0]) if m else 0
-    counts = [0] * s
-    r = 0
-    size = min(m, n)
-    while r < size:
-        best = None
-        best_v = s
-        for i in range(r, m):
-            row = work[i]
-            for j in range(r, n):
-                if row[j]:
-                    v = valuation(row[j], ring)
-                    if v < best_v:
-                        best_v = v
-                        best = (i, j)
-                        if v == 0:
-                            break
-            if best_v == 0:
-                break
-        if best is None:
-            break
-        i0, j0 = best
-        if i0 != r:
-            work[i0], work[r] = work[r], work[i0]
-        if j0 != r:
-            for row in work:
-                row[j0], row[r] = row[r], row[j0]
-        pivot = work[r][r]
-        unit = pivot // p ** best_v
-        inv = pow(unit, -1, mod)
-        work[r] = [(x * inv) % mod for x in work[r]]
-        pv = p ** best_v
-        for i in range(r + 1, m):
-            factor = work[i][r] // pv
-            if factor:
-                row_i, row_r = work[i], work[r]
-                for j in range(r, n):
-                    row_i[j] = (row_i[j] - factor * row_r[j]) % mod
-        row_r = work[r]
-        for j in range(r + 1, n):
-            factor = row_r[j] // pv
-            if factor:
-                for i in range(r, m):
-                    work[i][j] = (work[i][j] - factor * work[i][r]) % mod
-        counts[best_v] += 1  # nonzero pivot, so best_v < s
-        r += 1
-    # counts indexed by pivot valuation v; type position is i = v + 1
-    return tuple(counts)
+    p, s, mod = ring.p, ring.s, ring.modulus
+    dtype = np.int64 if mod < 1 << 31 else object
+    work = np.asarray(mats, dtype=dtype) % mod
+    batch_size, m, n = work.shape
+    batch = np.arange(batch_size)
+    powers = np.array([p ** k for k in range(s + 1)], dtype=dtype)
+    pivots = []
+    for _ in range(min(m, n)):
+        rows, cols = work.shape[1:]
+        # the zero element passes all s tests, so its valuation is s
+        val = (work % powers[1:, None, None, None] == 0).sum(axis=0)
+        i0, j0 = np.divmod(val.reshape(batch_size, rows * cols).argmin(axis=1), cols)
+        v = val[batch, i0, j0]
+        pivots.append(v)
+        top = work[:, 0].copy()
+        work[:, 0] = work[batch, i0]
+        work[batch, i0] = top
+        left = work[:, :, 0].copy()
+        work[:, :, 0] = work[batch, :, j0]
+        work[batch, :, j0] = left
+        # the pivot column over p^v: the unit u on top, the multipliers w below
+        col = work[:, :, :1] // powers[v][:, None, None]
+        work = (col[:, :1] * work[:, 1:, 1:] - col[:, 1:] * work[:, :1, 1:]) % mod
+    # a pivot of valuation v < s is one summand, at type position i = v + 1
+    pivots = np.array(pivots, dtype=np.int64).reshape(-1, batch_size).T
+    return (pivots[:, :, None] == np.arange(s)).sum(axis=1)
+
+
+def _tally(types: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Count the distinct rows of a stack of types."""
+    rows, counts = np.unique(types, axis=0, return_counts=True)
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
 
 def matrix_type(mat: RingMatrix) -> tuple[int, ...]:
     """Type of the module generated by the rows, via diagonal reduction."""
-    work = [list(row) for row in mat.entries]
-    if not work:
-        return (0,) * mat.ring.s
-    return _type_of(work, mat.ring)
+    stack = np.array(mat.entries, dtype=object).reshape(1, mat.nrows, mat.ncols)
+    return tuple(_types(stack, mat.ring)[0].tolist())
 
 
 def is_rect_unimodular(mat: RingMatrix) -> bool:
@@ -161,14 +148,18 @@ def is_rect_unimodular(mat: RingMatrix) -> bool:
     return matrix_type(mat) == free
 
 
-@lru_cache(maxsize=None)
+def _digits(idx: np.ndarray, mod: int, m: int) -> np.ndarray:
+    """Base-mod digits of each index, most significant first, as (len(idx), m)."""
+    out = np.empty((len(idx), m), dtype=np.int64)
+    for j in range(m - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, mod)
+    return out
+
+
+@lru_cache(maxsize=16)
 def _all_vectors(mod: int, m: int) -> np.ndarray:
     """All length-m vectors over Z/mod as an array, in mixed-radix order."""
-    idx = np.arange(mod ** m, dtype=np.int64)
-    out = np.empty((mod ** m, m), dtype=np.int64)
-    for j in range(m - 1, -1, -1):
-        out[:, j] = idx % mod
-        idx //= mod
+    out = _digits(np.arange(mod ** m, dtype=np.int64), mod, m)
     out.setflags(write=False)  # cached and shared
     return out
 
@@ -211,27 +202,19 @@ def enumerate_submodules(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET
     # float32 matmul is exact here: every dot product is < n * mod^2 << 2^24
     coeffs = _all_vectors(mod, n).astype(np.float32)
     radix = mod ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    representatives: dict[bytes, tuple] = {}
+    # each distinct span is kept as the index of its first generator matrix
+    representatives: dict[bytes, int] = {}
     for lo in range(0, total_matrices, _CENSUS_CHUNK):
         hi = min(lo + _CENSUS_CHUNK, total_matrices)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = np.empty((hi - lo, n * n), dtype=np.int64)
-        for j in range(n * n - 1, -1, -1):
-            digits[:, j] = idx % mod
-            idx //= mod
-        mats = digits.reshape(hi - lo, n, n)
+        mats = _digits(np.arange(lo, hi, dtype=np.int64), mod, n * n).reshape(hi - lo, n, n)
         products = (coeffs @ mats.astype(np.float32)).astype(np.int32) % mod
         codes = products @ radix
         codes.sort(axis=1)
-        for row, mat in zip(codes, mats):
-            key = row.tobytes()
-            if key not in representatives:
-                representatives[key] = tuple(map(tuple, mat.tolist()))
-    counts: dict[tuple[int, ...], int] = {}
-    for entries in representatives.values():
-        t = _type_of([list(r) for r in entries], ring)
-        counts[t] = counts.get(t, 0) + 1
-    return TypeCensus(counts=counts, total=len(representatives))
+        for i, row in enumerate(codes, start=lo):
+            representatives.setdefault(row.tobytes(), i)
+    firsts = np.fromiter(representatives.values(), dtype=np.int64, count=len(representatives))
+    types = _types(_digits(firsts, mod, n * n).reshape(-1, n, n), ring)
+    return TypeCensus(counts=_tally(types), total=len(representatives))
 
 
 def verify_census(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET):
@@ -283,14 +266,12 @@ def monte_carlo_type_distribution(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    counts: dict[tuple[int, ...], int] = {}
+    counts: Counter = Counter()
     for stream, lo in enumerate(range(0, trials, _MC_CHUNK)):
         count = min(_MC_CHUNK, trials - lo)
         batch = _generator(seed, stream).integers(0, ring.modulus, size=(count, m, n), dtype=np.int64)
-        for mat in batch.tolist():
-            t = _type_of(mat, ring)
-            counts[t] = counts.get(t, 0) + 1
-    return TypeCensus(counts=counts, total=trials)
+        counts.update(_tally(_types(batch, ring)))
+    return TypeCensus(counts=dict(counts), total=trials)
 
 
 _MATRIX_COUNT_POINTS = ((1, 2, 2, 2), (2, 2, 2, 2), (1, 1, 2, 3))
@@ -307,11 +288,7 @@ def validate_matrix_count_interpretation(points=_MATRIX_COUNT_POINTS):
         ring = ConcreteRing(p=p, s=s)
         spec = ring.spec()
         mod = ring.modulus
-        tallies: dict[tuple[int, ...], int] = {}
-        for flat in _all_vectors(mod, m * n).tolist():
-            entries = [flat[i * n : (i + 1) * n] for i in range(m)]
-            t = _type_of(entries, ring)
-            tallies[t] = tallies.get(t, 0) + 1
+        tallies = _tally(_types(_all_vectors(mod, m * n).reshape(-1, m, n), ring))
         for t, counted in sorted(tallies.items()):
             formula = modcount.matrix_count_by_type(m, n, spec, t)
             if formula != counted:

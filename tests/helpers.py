@@ -75,3 +75,15 @@ def naive_q_multinomial(n: int, ell: int, s: int, base):
             term *= gaussian_binomial(mu[j], mu[j + 1], base)
         total += term
     return total
+
+
+def cartan_matrix_form(kvec, s: int) -> Fraction:
+    """v C^{-1} v^T summed entry by entry, C^{-1}_{ij} = min(i, j) - ij/s."""
+    return sum(
+        (
+            kvec[i - 1] * kvec[j - 1] * (Fraction(min(i, j)) - Fraction(i * j, s))
+            for i in range(1, s)
+            for j in range(1, s)
+        ),
+        Fraction(0),
+    )

@@ -171,8 +171,15 @@ class TestEntropy:
         assert abs(entropy_estimate(1000, 0.6, odd).value - 1.0) < 0.02
         assert entropy_estimate(1000, 0.5, odd).value < 0.99
 
+    def test_homogeneous_saturates_at_its_threshold(self):
+        # 1 - 1/p: the mean symbol weight over the maximal one, 1/2 on Z/4
+        model = make_weight_model(HOMOGENEOUS, Z4)
+        assert abs(entropy_estimate(800, 0.5, model).value - 1.0) < 0.02
+        assert entropy_estimate(800, 0.4, model).value < 0.99
+
     def test_thresholds(self):
-        assert make_weight_model(HOMOGENEOUS, Z4).distance_threshold() == 1.0
+        assert make_weight_model(HOMOGENEOUS, Z4).distance_threshold() == 0.5
+        assert make_weight_model(HOMOGENEOUS, Z9).distance_threshold() == 2 / 3
         # Lee: mean symbol weight over the maximal one, exactly
         assert make_weight_model(LEE, Z4).distance_threshold() == 0.5
         assert make_weight_model(LEE, ConcreteRing(p=5, s=1)).distance_threshold() == 0.6

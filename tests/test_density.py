@@ -22,6 +22,8 @@ from chainring.modcount import ChainRingSpec, count_by_type, free_fraction_by_le
 from chainring.qseries import euler_function
 from chainring.render import render_ratio
 
+from helpers import cartan_matrix_form
+
 
 class TestCartanForm:
     def test_hand_examples(self):
@@ -30,12 +32,12 @@ class TestCartanForm:
         assert cartan_quadratic_form((1, 1), 3) == 2  # 1 + 4 - 9/3
 
     def test_matrix_equals_closed_form_randomly(self):
-        # the function itself computes both and raises on mismatch
         rng = random.Random(11)
         for _ in range(1000):
             s = rng.randint(2, 8)
             kvec = tuple(rng.randint(0, 20) for _ in range(s - 1))
             value = cartan_quadratic_form(kvec, s)
+            assert value == cartan_matrix_form(kvec, s), kvec
             assert value >= 0
             assert value.denominator in (1, s) or s % value.denominator == 0
 

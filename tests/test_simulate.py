@@ -19,11 +19,28 @@ from chainring.simulate import (
     valuation,
     validate_matrix_count_interpretation,
     verify_census,
+    _types,
 )
 
 Z4 = ConcreteRing(p=2, s=2)
 Z8 = ConcreteRing(p=2, s=3)
 Z9 = ConcreteRing(p=3, s=2)
+Z27 = ConcreteRing(p=3, s=3)
+
+
+def span_filtration_type(mat: RingMatrix) -> tuple[int, ...]:
+    """Type read off the sizes |p^j span| = p^(sum_i k_i max(0, s - i + 1 - j))."""
+    p, s, mod = mat.ring.p, mat.ring.s, mat.ring.modulus
+    span = row_span(mat)
+    logs = [round(math.log(len({tuple(p ** j * x % mod for x in v) for v in span}), p)) for j in range(s + 1)]
+    # at_least[j]: summands of length > j
+    at_least = [logs[j] - logs[j + 1] for j in range(s)] + [0]
+    return tuple(at_least[s - i] - at_least[s - i + 1] for i in range(1, s + 1))
+
+
+def random_entries(rng, ring, m, n):
+    """Entries with random valuations, so that every type shows up."""
+    return [[rng.randrange(ring.modulus) * ring.p ** rng.randint(0, ring.s) % ring.modulus for _ in range(n)] for _ in range(m)]
 
 
 class TestRing:
@@ -71,6 +88,54 @@ class TestMatrixType:
             mat = ring_matrix(ring, entries)
             t = matrix_type(mat)
             assert len(row_span(mat)) == ring.p ** length_of(t)
+
+    def test_type_equals_span_filtration(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            ring = rng.choice([Z4, Z8, Z9, Z27])
+            mat = ring_matrix(ring, random_entries(rng, ring, rng.randint(1, 3), rng.randint(1, 3)))
+            assert matrix_type(mat) == span_filtration_type(mat), mat.entries
+
+    def test_batch_equals_one_at_a_time(self):
+        rng = random.Random(31)
+        for ring in (Z8, Z27, ConcreteRing(p=2, s=40)):
+            rows = [random_entries(rng, ring, 3, 4) for _ in range(300)]
+            expected = [matrix_type(ring_matrix(ring, r)) for r in rows]
+            assert [tuple(t) for t in _types(np.array(rows, dtype=object), ring).tolist()] == expected
+
+    @pytest.mark.parametrize("p,s", [(2, 70), (3, 45)])
+    def test_object_path_counts_diagonal_valuations(self, p, s):
+        # U diag(p^v_i) V with unit-triangular U, V has the v_i as its invariants
+        ring = ConcreteRing(p=p, s=s)
+        mod = ring.modulus
+        rng = random.Random(p * s)
+
+        def unit_triangular(k):
+            return [[1 if i == j else rng.randrange(mod) if j > i else 0 for j in range(k)] for i in range(k)]
+
+        def product(a, b):
+            return [[sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
+
+        for _ in range(50):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            vals = [rng.randint(0, s) for _ in range(min(m, n))]
+            diag = [[p ** vals[i] % mod if i == j else 0 for j in range(n)] for i in range(m)]
+            upper = product(product(unit_triangular(m), diag), unit_triangular(n))
+            lower = product(product(list(zip(*unit_triangular(m))), diag), list(zip(*unit_triangular(n))))
+            expected = tuple(vals.count(v) for v in range(s))
+            assert matrix_type(ring_matrix(ring, upper)) == expected
+            assert matrix_type(ring_matrix(ring, lower)) == expected
+
+    def test_edge_shapes(self):
+        # tall, wide, zero rows and no rows
+        assert matrix_type(ring_matrix(Z4, [[2, 0], [0, 2], [2, 2]])) == (0, 2)
+        assert matrix_type(ring_matrix(Z4, [[2, 0], [0, 1], [1, 1]])) == (2, 0)
+        assert matrix_type(ring_matrix(Z8, [[0, 2, 6]])) == (0, 1, 0)
+        assert matrix_type(ring_matrix(Z8, [[4, 2, 0, 1], [0, 0, 4, 2]])) == (1, 0, 1)
+        assert matrix_type(ring_matrix(Z8, [[0, 0, 0], [0, 0, 0]])) == (0, 0, 0)
+        assert matrix_type(ring_matrix(Z4, [])) == (0, 0)
+        assert _types(np.zeros((5, 0, 3), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
+        assert _types(np.zeros((5, 3, 0), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
 
     def test_invariant_under_row_ops(self):
         rng = random.Random(5)
