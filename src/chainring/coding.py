@@ -22,7 +22,7 @@ import numpy as np
 from .approx import ApproxReal
 from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
-from .simulate import ConcreteRing, RingMatrix, _all_vectors, is_rect_unimodular, sample_matrix
+from .simulate import ConcreteRing, RingMatrix, _all_vectors, _types, sample_matrix
 
 HAMMING = "hamming"
 LEE = "lee"
@@ -30,6 +30,7 @@ HOMOGENEOUS = "homogeneous"
 KINDS = (HAMMING, LEE, HOMOGENEOUS)
 
 MIN_DISTANCE_BUDGET = 1 << 20
+_TRIAL_CHUNK = 4096  # matrices drawn at once by the GV experiment; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -209,17 +210,22 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
     k = mat.nrows
     if mod ** k > budget:
         raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {budget}")
-    lut = np.array(model.int_weights, dtype=np.int64)
-    gen = mat.to_array().astype(np.float32)
+    # float32 products are exact below 2^24 and then fit int32; int64 beyond
+    small = k * (mod - 1) ** 2 < 1 << 24
+    gen = mat.to_array().astype(np.float32 if small else np.int64)
+    # a codeword weighs at most n * max(int_weights)
+    wdtype = np.int32 if mat.ncols * max(model.int_weights) < 1 << 31 else np.int64
+    lut = np.array(model.int_weights, dtype=wdtype)
+    ones = np.ones(mat.ncols, dtype=wdtype)
     best = None
     total = mod ** k
     chunk = 1 << 17
-    coeffs = _coeff_block(mod, k)
+    coeffs = _coeff_block(mod, k, gen.dtype)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        prods = coeffs[lo:hi] @ gen  # small integers, exact in float32
-        symbols = prods.astype(np.int64) % mod
-        wt = lut[symbols].sum(axis=1)
+        prods = coeffs[lo:hi] @ gen
+        symbols = prods.astype(np.int32) % mod if small else prods % mod
+        wt = lut[symbols] @ ones
         nz = wt[wt > 0]
         if nz.size:
             low = int(nz.min())
@@ -230,8 +236,8 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
 
 
 @lru_cache(maxsize=1)  # keep at most one large block around
-def _coeff_block(mod: int, k: int) -> np.ndarray:
-    block = _all_vectors(mod, k).astype(np.float32)
+def _coeff_block(mod: int, k: int, dtype) -> np.ndarray:
+    block = _all_vectors(mod, k).astype(dtype)
     block.setflags(write=False)
     return block
 
@@ -343,19 +349,25 @@ def gv_random_experiment(
 
     cutoff = Fraction(delta) * model.max_weight(n)
 
-    def run_trial(stream: int) -> TrialOutcome:
-        mat = sample_matrix(k, n, ring, seed, stream)
-        free = is_rect_unimodular(mat)
-        dist = min_distance_exhaustive(mat, model)
-        return TrialOutcome(stream=stream, free=free, min_distance=dist)
+    def distance(mat: RingMatrix):
+        return min_distance_exhaustive(mat, model)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # freeness of a whole chunk of trials from one batched reduction
+    free_type = (k,) + (0,) * (ring.s - 1)
+    outcomes = []
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        streams = range(lo, min(lo + _TRIAL_CHUNK, trials))
+        mats = [sample_matrix(k, n, ring, seed, t) for t in streams]
+        free = (_types(np.array([m.entries for m in mats]), ring) == free_type).all(axis=1).tolist()
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = tuple(pool.map(run_trial, range(trials)))
-    else:
-        outcomes = tuple(run_trial(t) for t in range(trials))
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                dists = list(pool.map(distance, mats))
+        else:
+            dists = [distance(m) for m in mats]
+        outcomes += map(TrialOutcome, streams, free, dists)
+    outcomes = tuple(outcomes)
 
     free_count = sum(1 for o in outcomes if o.free)
     distance_count = sum(1 for o in outcomes if o.min_distance > cutoff)

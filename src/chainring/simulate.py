@@ -2,10 +2,12 @@
 and seeded random matrix ensembles.
 
 The census enumerator is the ground truth the counting formulas are checked
-against: it walks every n x n generator matrix (any submodule of R^n needs at
-most n generators), dedupes row spans, and classifies each distinct module by
-diagonal reduction.  Every type comes from one reduction that works on a
-whole stack of matrices at once and uses no inverses (see ``_types``).
+against: it finds the row spans of all n x n generator matrices (any
+submodule of R^n needs at most n generators) by extending the distinct spans
+one generator at a time, dedupes them by their membership bitsets, and
+classifies each distinct module by diagonal reduction.  Every type comes from
+one reduction that works on a whole stack of matrices at once and uses no
+inverses (see ``_types``).
 Randomness comes from numpy's PCG64 seeded through
 SeedSequence(seed, spawn_key=(stream,)); a fixed (seed, stream) pair always
 reproduces the same matrix.
@@ -25,7 +27,8 @@ from .modcount import ChainRingSpec
 
 SPAN_BUDGET = 1 << 20
 CENSUS_BUDGET = 1 << 24
-_CENSUS_CHUNK = 1 << 13
+CENSUS_WORK_BUDGET = 1 << 27
+_CENSUS_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -189,32 +192,78 @@ class TypeCensus:
 def enumerate_submodules(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET) -> TypeCensus:
     """Exhaustive census of all submodules of R^n, classified by type.
 
-    Walks all (p^s)^(n*n) generator matrices in batches; a span is keyed by
-    the sorted multiset of its coefficient products, which is canonical
-    because every span element occurs with the same multiplicity.
+    Builds the spans of all n x n generator matrices one generator at a time,
+    since span(r_1..r_j) = span(span(r_1..r_{j-1}) + r_j).  Level 0 is the zero
+    module; level j appends every row of R^n to one representative matrix of
+    each distinct level j-1 span, so level n holds the span of every n x n
+    matrix.  Each candidate span is materialised in full, x M for all
+    (p^s)^j coefficient vectors x, and keyed by its membership bitset over
+    R^n, which is the set itself; one ``np.unique`` per chunk dedupes the
+    keys.  ``budget`` bounds the (p^s)^(n*n) generator matrices the census
+    stands for, ``CENSUS_WORK_BUDGET`` the span entries of each level.
     """
+    if n < 0:
+        raise ParameterError(f"n must be nonnegative, got {n}")
     mod = ring.modulus
-    total_matrices = mod ** (n * n)
-    if total_matrices > budget:
+    if mod ** (n * n) > budget:
         raise BudgetExceededError(
             f"{mod}^{n * n} generator matrices exceed budget {budget}"
         )
-    # float32 matmul is exact here: every dot product is < n * mod^2 << 2^24
-    coeffs = _all_vectors(mod, n).astype(np.float32)
-    radix = mod ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    # each distinct span is kept as the index of its first generator matrix
-    representatives: dict[bytes, int] = {}
-    for lo in range(0, total_matrices, _CENSUS_CHUNK):
-        hi = min(lo + _CENSUS_CHUNK, total_matrices)
-        mats = _digits(np.arange(lo, hi, dtype=np.int64), mod, n * n).reshape(hi - lo, n, n)
-        products = (coeffs @ mats.astype(np.float32)).astype(np.int32) % mod
-        codes = products @ radix
-        codes.sort(axis=1)
-        for i, row in enumerate(codes, start=lo):
-            representatives.setdefault(row.tobytes(), i)
-    firsts = np.fromiter(representatives.values(), dtype=np.int64, count=len(representatives))
-    types = _types(_digits(firsts, mod, n * n).reshape(-1, n, n), ring)
-    return TypeCensus(counts=_tally(types), total=len(representatives))
+
+    def check(level: int, spans: int) -> None:
+        if spans * mod ** n * mod ** level > CENSUS_WORK_BUDGET:
+            raise BudgetExceededError(
+                f"{spans} x {mod}^{n} x {mod}^{level} span entries at census level {level} "
+                f"exceed budget {CENSUS_WORK_BUDGET}"
+            )
+
+    check(n, 1)  # the last level extends at least the zero module
+    reps = np.zeros((1, 0, n), dtype=np.int64)  # level 0: the zero module
+    for j in range(1, n + 1):
+        check(j, len(reps))
+        reps = _next_level(reps, mod)
+    return TypeCensus(counts=_tally(_types(reps, ring)), total=len(reps))
+
+
+def _next_level(reps: np.ndarray, mod: int) -> np.ndarray:
+    """One representative matrix for each distinct span of a matrix in reps plus one row.
+
+    With x = (y, a), x M = y M' + a r for M = (M'; r): the sum of two reduced
+    vectors, whose digits are < 2 p^s.  Both parts are coded in base 2 p^s,
+    where adding codes adds digits without carries, and one lookup in
+    ``reduce`` takes the sum to its reduced base-p^s index in R^n.
+    """
+    n = reps.shape[2]
+    rows = _all_vectors(mod, n)
+    size = len(rows)
+    reduce = np.zeros(1, dtype=np.int32)
+    for _ in range(n):
+        reduce = (reduce[:, None] * mod + np.arange(2 * mod, dtype=np.int32) % mod).ravel()
+    base = (2 * mod) ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    # y M' for every y, per representative
+    span_codes = (_all_vectors(mod, reps.shape[1]) @ reps % mod).astype(np.int32) @ base
+    multiples = np.arange(mod, dtype=np.int32)[:, None]
+    rows32 = rows.astype(np.int32)
+    candidates = len(reps) * size
+    # a chunk holds at most _CENSUS_CHUNK span entries and key bits
+    step = max(1, _CENSUS_CHUNK // max(span_codes.shape[1] * mod, size))
+    keys, firsts = [], []
+    for lo in range(0, candidates, step):
+        rep, row = np.divmod(np.arange(lo, min(lo + step, candidates)), size)
+        # a r for every a; a r < (p^s)^(2n) <= CENSUS_WORK_BUDGET fits in int32
+        row_codes = (multiples * rows32[row, None, :] % mod) @ base
+        codes = reduce[span_codes[rep, :, None] + row_codes[:, None, :]]
+        # offset each candidate to its own row of the chunk's bitsets
+        codes += (np.arange(len(row), dtype=np.int32) * size)[:, None, None]
+        bits = np.zeros((len(row), size), dtype=bool)
+        bits.ravel()[codes.ravel()] = True
+        packed = np.packbits(bits, axis=1)
+        _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+        keys.append(packed[first])
+        firsts.append(np.concatenate((reps[rep[first]], rows[row[first], None]), axis=1))
+    packed = np.concatenate(keys)
+    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+    return np.concatenate(firsts)[first]
 
 
 def verify_census(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET):

@@ -6,6 +6,7 @@ independent of the library code paths it is used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -87,3 +88,52 @@ def cartan_matrix_form(kvec, s: int) -> Fraction:
         ),
         Fraction(0),
     )
+
+
+def span_type(span, p: int, s: int) -> tuple[int, ...]:
+    """Type of a submodule of (Z/p^s)^n given as its set of elements.
+
+    |p^j S| = p^(sum over summands of max(0, length - j)), so consecutive
+    sizes count the summands longer than j.
+    """
+    mod = p ** s
+
+    def log_size(j):
+        size, exponent = len({tuple(p ** j * x % mod for x in v) for v in span}), 0
+        while size > 1:
+            size //= p
+            exponent += 1
+        return exponent
+
+    logs = [log_size(j) for j in range(s + 1)]
+    longer = [logs[j] - logs[j + 1] for j in range(s)] + [0]  # summands of length > j
+    return tuple(longer[s - i] - longer[s - i + 1] for i in range(1, s + 1))
+
+
+def naive_submodule_census(p: int, s: int, n: int) -> dict[tuple[int, ...], int]:
+    """Submodules of (Z/p^s)^n per type, from the span of every n x n matrix.
+
+    Spans are frozensets built by adding every multiple of each row in turn;
+    the span of a matrix's first n - 1 rows is memoised, nothing else.
+    """
+    mod = p ** s
+    vectors = list(itertools.product(range(mod), repeat=n))
+
+    def extend(span, row):
+        return frozenset(
+            tuple((x + a * y) % mod for x, y in zip(v, row)) for v in span for a in range(mod)
+        )
+
+    @functools.lru_cache(maxsize=None)
+    def prefix_span(rows):
+        return extend(prefix_span(rows[:-1]), rows[-1]) if rows else frozenset({(0,) * n})
+
+    spans = {
+        extend(prefix_span(rows[:-1]), rows[-1]) if rows else prefix_span(())
+        for rows in itertools.product(vectors, repeat=n)
+    }
+    counts: dict[tuple[int, ...], int] = {}
+    for span in spans:
+        t = span_type(span, p, s)
+        counts[t] = counts.get(t, 0) + 1
+    return counts

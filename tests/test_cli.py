@@ -39,6 +39,20 @@ class TestExitCodes:
         assert status == 3
         assert "budget" in err
 
+    def test_census_budgets_exit_3(self, capsys):
+        status, out, err = run_cli(capsys, ["oracle", "verify", "--p", "3", "--s", "3", "--n", "3"])
+        assert (status, out, err) == (3, "", "error: 27^9 generator matrices exceed budget 16777216\n")
+        # passes the matrix budget; its one census level would hold 2^32 span entries
+        status, out, err = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "16", "--n", "1"])
+        assert status == 3
+        assert out == ""
+        assert err.startswith("error: ") and "span entries" in err and err.count("\n") == 1
+
+    def test_census_exact_past_float32_products(self, capsys):
+        status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "13", "--n", "1"])
+        assert status == 0
+        assert out.splitlines()[-2:] == ["total 14", "PASS"]
+
     def test_verification_fail_exit_1(self, capsys, monkeypatch):
         real = simulate.verify_census
 

@@ -17,8 +17,10 @@ from chainring.coding import (
     min_distance_exhaustive,
     q_ary_entropy,
 )
+from chainring import coding
+from chainring.coding import WeightModel
 from chainring.errors import BudgetExceededError, ParameterError
-from chainring.simulate import ConcreteRing, ring_matrix
+from chainring.simulate import ConcreteRing, is_rect_unimodular, ring_matrix, sample_matrix
 
 from helpers import all_tuples, brute_ball_volume
 
@@ -217,6 +219,39 @@ class TestMinDistance:
                         best = min(best, sum(w[c] for c in word))
                 assert min_distance_exhaustive(mat, model) == best
 
+    def test_exact_past_float32_products(self):
+        # x * 4097 reaches 2^25 > 2^24, where float32 rounds x * 4097 = 0 mod 2^13
+        ring = ConcreteRing(p=2, s=13)
+        mod = ring.modulus
+        # make_weight_model checks the triangle inequality on all mod^2 pairs: too slow here
+        hamming = WeightModel(
+            kind=HAMMING,
+            ring=ring,
+            symbol_weights=(Fraction(0),) + (Fraction(1),) * (mod - 1),
+            scale=1,
+            int_weights=(0,) + (1,) * (mod - 1),
+            max_symbol_weight=Fraction(1),
+            eta=Fraction(1),
+        )
+        assert min_distance_exhaustive(ring_matrix(ring, [[1, 4097]]), hamming) == 2
+
+    def test_wide_integer_weights(self):
+        # n * max(int_weights) >= 2^31: the weight sums need int64
+        lee = make_weight_model(LEE, Z8)
+        wide = WeightModel(
+            kind=LEE,
+            ring=Z8,
+            symbol_weights=lee.symbol_weights,
+            scale=1 << 30,
+            int_weights=tuple(w << 30 for w in lee.int_weights),
+            max_symbol_weight=lee.max_symbol_weight,
+            eta=lee.eta,
+        )
+        rng = random.Random(41)
+        for _ in range(20):
+            mat = ring_matrix(Z8, [[rng.randrange(8) for _ in range(5)] for _ in range(2)])
+            assert min_distance_exhaustive(mat, wide) == min_distance_exhaustive(mat, lee)
+
     def test_budget(self):
         mat = ring_matrix(Z4, [[0] * 3 for _ in range(11)])
         with pytest.raises(BudgetExceededError):
@@ -265,3 +300,50 @@ class TestExperiment:
         report = gv_random_experiment(8, 0.05, 0.2, model, trials=120, seed=9)
         assert report.passed_free
         assert 0 <= report.bound <= 1
+
+    def test_freeness_per_trial(self, monkeypatch):
+        # chunks of three trials: freeness is batched per chunk
+        monkeypatch.setattr(coding, "_TRIAL_CHUNK", 3)
+        model = make_weight_model(LEE, Z8)
+        report = gv_random_experiment(6, 0.05, 0.2, model, trials=10, seed=13)
+        for o in report.outcomes:
+            mat = sample_matrix(report.k, 6, Z8, 13, o.stream)
+            assert o.free == is_rect_unimodular(mat)
+            assert o.min_distance == min_distance_exhaustive(mat, model)
+        assert [o.stream for o in report.outcomes] == list(range(10))
+
+
+# recorded from the trial-by-trial implementation; each outcome is the minimum
+# distance, suffixed "f" when the code is free
+PINNED_REPORTS = {
+    ("lee", 2, 2, 10, 0.05, 0.15, 5): (
+        7, 9, 11, 8, "1f,2,2f,2f,4,2f,2f,2,3f,2f,2f,2f",
+        0.21961587113893802, 0.44048807378247457, "18014398509481985/18014398509481984"),
+    ("lee", 2, 2, 10, 0.05, 0.15, 17): (
+        7, 12, 10, 10, "1f,3f,3f,2f,1f,3f,2f,2f,2f,2f,2f,3f",
+        0.21961587113893802, 0.44048807378247457, "18014398509481985/18014398509481984"),
+    ("homogeneous", 3, 2, 6, 0.1, 0.2, 5): (
+        5, 10, 12, 10, "3/2f,3/2f,3/2f,1f,3/2f,1f,1,3/2,3/2f,3/2f,1f,2f",
+        0.0, 0.2989813059820993, "32425917317067573/36028797018963968"),
+    ("homogeneous", 3, 2, 6, 0.1, 0.2, 17): (
+        5, 11, 12, 11, "3/2f,1f,3/2f,1f,1f,3/2f,3/2,1f,3/2f,3/2f,3/2f,1f",
+        0.0, 0.2989813059820993, "32425917317067573/36028797018963968"),
+    ("hamming", 2, 2, 10, 0.2, 0.1, 5): (
+        5, 12, 1, 1, "2f,2f,2f,2f,2f,2f,2f,3f,2f,2f,2f,1f",
+        0.4384092162388463, 0.0, "18014398509481985/9007199254740992"),
+    ("hamming", 2, 2, 10, 0.2, 0.1, 17): (
+        5, 12, 1, 1, "1f,2f,2f,2f,3f,2f,2f,2f,2f,1f,2f,2f",
+        0.4384092162388463, 0.0, "18014398509481985/9007199254740992"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_gv_report_pinned(case):
+    kind, p, s, n, delta, epsilon, seed = case
+    model = make_weight_model(kind, ConcreteRing(p=p, s=s))
+    report = gv_random_experiment(n, delta, epsilon, model, trials=12, seed=seed)
+    outcomes = ",".join(str(o.min_distance) + ("f" if o.free else "") for o in report.outcomes)
+    assert (
+        report.k, report.free_count, report.distance_count, report.joint_count, outcomes,
+        report.growth_rate, report.bound, str(report.distance_cutoff),
+    ) == PINNED_REPORTS[case]

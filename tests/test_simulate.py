@@ -1,14 +1,15 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
+from chainring import simulate
 from chainring.errors import BudgetExceededError, ParameterError
 from chainring.modcount import ChainRingSpec, length_of, unimodular_probability
 from chainring.simulate import (
     ConcreteRing,
-    RingMatrix,
     enumerate_submodules,
     is_rect_unimodular,
     matrix_type,
@@ -22,20 +23,12 @@ from chainring.simulate import (
     _types,
 )
 
+from helpers import naive_submodule_census, span_type
+
 Z4 = ConcreteRing(p=2, s=2)
 Z8 = ConcreteRing(p=2, s=3)
 Z9 = ConcreteRing(p=3, s=2)
 Z27 = ConcreteRing(p=3, s=3)
-
-
-def span_filtration_type(mat: RingMatrix) -> tuple[int, ...]:
-    """Type read off the sizes |p^j span| = p^(sum_i k_i max(0, s - i + 1 - j))."""
-    p, s, mod = mat.ring.p, mat.ring.s, mat.ring.modulus
-    span = row_span(mat)
-    logs = [round(math.log(len({tuple(p ** j * x % mod for x in v) for v in span}), p)) for j in range(s + 1)]
-    # at_least[j]: summands of length > j
-    at_least = [logs[j] - logs[j + 1] for j in range(s)] + [0]
-    return tuple(at_least[s - i] - at_least[s - i + 1] for i in range(1, s + 1))
 
 
 def random_entries(rng, ring, m, n):
@@ -94,7 +87,7 @@ class TestMatrixType:
         for _ in range(400):
             ring = rng.choice([Z4, Z8, Z9, Z27])
             mat = ring_matrix(ring, random_entries(rng, ring, rng.randint(1, 3), rng.randint(1, 3)))
-            assert matrix_type(mat) == span_filtration_type(mat), mat.entries
+            assert matrix_type(mat) == span_type(row_span(mat), ring.p, ring.s), mat.entries
 
     def test_batch_equals_one_at_a_time(self):
         rng = random.Random(31)
@@ -215,12 +208,55 @@ class TestCensus:
         with pytest.raises(BudgetExceededError):
             enumerate_submodules(Z4, 5)
 
-    @pytest.mark.parametrize("p,s,n", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2)])
+    @pytest.mark.parametrize("p,s,n", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (3, 3, 2), (2, 5, 2)])
     def test_verify_census_matches_formulas(self, p, s, n):
         census, rows, ok = verify_census(ConcreteRing(p=p, s=s), n)
         assert ok
         assert all(match for _, _, _, match in rows)
         assert sum(c for _, c, _, _ in rows) == census.total
+
+    @pytest.mark.parametrize("p,s,n", [(2, 2, 2), (2, 1, 3), (3, 1, 2), (2, 3, 2), (3, 2, 2)])
+    def test_matches_naive_census(self, p, s, n):
+        census = enumerate_submodules(ConcreteRing(p=p, s=s), n)
+        naive = naive_submodule_census(p, s, n)
+        assert census.counts == naive
+        assert census.total == sum(naive.values())
+
+    def test_levels_spread_over_many_chunks(self, monkeypatch):
+        expected = {(2, 2, 2): 15, (2, 1, 3): 16, (2, 3, 2): 37}
+        censuses = {case: enumerate_submodules(ConcreteRing(*case[:2]), case[2]) for case in expected}
+        # below the span entries of one candidate, so every chunk holds one
+        monkeypatch.setattr(simulate, "_CENSUS_CHUNK", 3)
+        for (p, s, n), total in expected.items():
+            census = enumerate_submodules(ConcreteRing(p=p, s=s), n)
+            assert census == censuses[p, s, n]
+            assert census.total == total
+
+    def test_zero_and_negative_rank(self):
+        assert enumerate_submodules(Z4, 0) == simulate.TypeCensus(counts={(0, 0): 1}, total=1)
+        with pytest.raises(ParameterError):
+            enumerate_submodules(Z4, -1)
+
+    def test_exact_past_float32_products(self):
+        # (2^13 - 1)^2 >= 2^24: float32 products would merge distinct spans
+        census, rows, ok = verify_census(ConcreteRing(p=2, s=13), 1)
+        assert census.total == 14
+        assert ok
+
+    def test_work_budget_refuses_before_work(self):
+        # (Z/2^16)^1 passes the matrix budget; its one level holds 2^32 span entries
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="span entries"):
+            enumerate_submodules(ConcreteRing(p=2, s=16), 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_work_budget_checks_each_level(self, monkeypatch):
+        # (Z/4)^2: level 1 holds 1 x 16 x 4 entries; its 10 cyclic spans make level 2 hold 10 x 16 x 16
+        monkeypatch.setattr(simulate, "CENSUS_WORK_BUDGET", 10 * 16 * 16 - 1)
+        with pytest.raises(BudgetExceededError, match="10 x 4\\^2 x 4\\^2 span entries at census level 2"):
+            enumerate_submodules(Z4, 2)
+        monkeypatch.setattr(simulate, "CENSUS_WORK_BUDGET", 10 * 16 * 16)
+        assert enumerate_submodules(Z4, 2).total == 15
 
 
 class TestSampling:
