@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__, density, modcount, render, simulate
@@ -47,26 +46,15 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParameterError(f"cannot parse integer list {text!r}") from exc
 
 
-def _digits(value: int) -> str:
-    """Decimal digits of an exact integer of any length.
-
-    ``str`` refuses integers beyond the interpreter's int-to-str digit limit;
-    ``decimal`` converts them exactly and leaves that process-wide limit alone.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        return str(Decimal(value))
-
-
 def _ratio_text(x: Fraction, digits: int) -> str:
-    return f"{_digits(x.numerator)}/{_digits(x.denominator)} = {render.render_ratio(x, digits)}"
+    num, den = render.render_integer(x.numerator), render.render_integer(x.denominator)
+    return f"{num}/{den} = {render.render_ratio(x, digits)}"
 
 
 def _ratio_payload(x: Fraction, digits: int) -> dict:
     return {
-        "numerator": _digits(x.numerator),
-        "denominator": _digits(x.denominator),
+        "numerator": render.render_integer(x.numerator),
+        "denominator": render.render_integer(x.denominator),
         "decimal": render.render_ratio(x, digits),
     }
 
@@ -136,7 +124,7 @@ def cmd_count(args) -> tuple[int, str]:
         value = modcount.total_by_rank(args.n, ring, args.K)
     else:  # matrix
         value = modcount.matrix_count_by_type(args.m, args.n, ring, _parse_type(args.type))
-    text = _digits(value)
+    text = render.render_integer(value)
     return 0, _emit(args, {"count": text}, [text])
 
 
@@ -236,7 +224,7 @@ def cmd_density(args) -> tuple[int, str]:
     lines = []
     payload_rows = []
     for mtype, count in pairs:
-        digits = _digits(count)
+        digits = render.render_integer(count)
         csv_rows.append([*mtype, digits])
         lines.append(f"{','.join(map(str, mtype))} {digits}")
         payload_rows.append({"type": list(mtype), "count": digits})
@@ -278,7 +266,7 @@ def cmd_code(args) -> tuple[int, str]:
     model = _model(args)
     if subject == "ball":
         value = coding_mod.ball_volume(args.n, _parse_fraction(args.w), model, closed=args.closed)
-        text = _digits(value)
+        text = render.render_integer(value)
         return 0, _emit(args, {"volume": text}, [text])
     if subject == "gv":
         value = coding_mod.gv_lower_bound(args.n, _parse_fraction(args.d), model)

@@ -35,7 +35,7 @@ _TRIAL_CHUNK = 4096  # matrices drawn at once by the GV experiment; results do n
 
 @dataclass(frozen=True)
 class WeightModel:
-    """A validated symbol-weight table with its integer-grid scaling."""
+    """A symbol-weight table with its integer-grid scaling."""
 
     kind: str
     ring: ConcreteRing
@@ -61,10 +61,11 @@ class WeightModel:
 
 
 def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
-    """Build and exhaustively validate a weight table on Z/p^s.
+    """Build the symbol-weight table of a built-in weight on Z/p^s.
 
-    Checks positive definiteness, symmetry and the triangle inequality over
-    the full symbol table; any violation aborts construction.
+    Each of the three kinds is positive definite, symmetric and satisfies the
+    triangle inequality by construction, so the table is not re-checked here
+    (the test suite checks all three axioms on every table up to Z/32).
     """
     mod = ring.modulus
     if kind == HAMMING:
@@ -80,16 +81,6 @@ def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
         ]
     else:
         raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
-
-    for x in range(1, mod):
-        if weights[x] <= 0:
-            raise ParameterError(f"weight not positive definite at {x}")
-        if weights[x] != weights[mod - x]:
-            raise ParameterError(f"weight not symmetric at {x}")
-    for x in range(mod):
-        for y in range(mod):
-            if weights[(x + y) % mod] > weights[x] + weights[y]:
-                raise ParameterError(f"triangle inequality fails at ({x}, {y})")
 
     scale = math.lcm(*(w.denominator for w in weights))
     nonzero = weights[1:]
@@ -188,6 +179,8 @@ def entropy_estimate(n: int, delta: float, model: WeightModel) -> ApproxReal:
     floor(delta * n * max_symbol_weight); converges to the weight's entropy
     and for Hamming to ``q_ary_entropy``.
     """
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     if not 0.0 <= delta <= 1.0:
         raise ParameterError("delta must lie in [0, 1]")
     profile = ball_profile(n, model)

@@ -13,24 +13,16 @@ nothing here rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import BudgetExceededError, ParameterError
-from .qseries import gaussian_binomial, pochhammer_finite
+from .errors import ParameterError
+from .qseries import _chain_sum, gaussian_binomial, pochhammer_finite, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
-
-# Upper limit on the a-priori cost of one exact total, in bit operations
-# (see _check_total_budget).  The totals in the tests, the published tables
-# and the benchmark stay below 2^34, length 400 in R^200 at q = 2, s = 4 costs
-# about 2^36.7 and takes seconds, and length 4500 in R^3000 at q = 2, s = 3,
-# whose q-Pascal table alone would not fit in memory, costs 2^46.4.
-TOTAL_BUDGET = 1 << 37
 
 
 def _prime_power_root(q: int) -> tuple[int, int]:
@@ -194,111 +186,16 @@ def compositions(s: int, total: int) -> Iterator[Type]:
     yield from descend(0, total, ())
 
 
-def _q_pascal(rows: int, q: int) -> list[list[int]]:
-    """Gaussian binomials [m, k]_q for 0 <= k <= m <= rows, row by row.
-
-    The q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k] needs no division;
-    it builds each row's first half, and [m, k] = [m, m-k] gives the rest.
-    """
-    table = [[1]]
-    for m in range(1, rows + 1):
-        above = table[-1]
-        row = [1]
-        power = 1
-        for k in range(1, m // 2 + 1):
-            power *= q
-            row.append(above[k - 1] + power * above[k])
-        table.append(row + row[m - m // 2 - 1 :: -1])
-    return table
-
-
-def _check_total_budget(n: int, q: int, s: int, first: range, remaining: int | None):
-    """Raise BudgetExceededError if a chain sum would cost more than TOTAL_BUDGET.
-
-    The cost is bounded a priori by (q-Pascal entries plus multiply-adds)
-    times the bits of the largest value the sum builds.  A state at a
-    position with t parts left reads at most prev + 1 - ceil(remaining / t)
-    terms, over remaining <= t prev; a state of the last position under a
-    length constraint reads one.  The largest value is below
-    4^s (rows+1)^s q^E, where E bounds sum_i mu_i (n - mu_i) over the chains,
-    because [m, k]_q < 4 q^(k (m - k)) and there are at most (rows+1)^s chains.
-    """
-    rows = first[-1]
-
-    def peak(lo: int, hi: int) -> int:  # max of mu (n - mu) over lo <= mu <= hi
-        mu = min(max(n // 2, lo), hi)
-        return mu * (n - mu)
-
-    triangle = (rows + 1) * (rows + 2) // 2
-    terms = triangle + len(first) * (rows + 1)
-    for t in range(1, s - 1):  # positions 3..s
-        terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
-    exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
-    bits = math.ceil(exponent * math.log2(q)) + s * (2 + (rows + 1).bit_length())
-    if terms * bits > TOTAL_BUDGET:
-        raise BudgetExceededError(
-            f"exact total at n={n}, s={s} needs about {terms * bits:.2g} bit operations, "
-            f"over the budget of {TOTAL_BUDGET:.2g}"
-        )
-
-
-def _chain_sum(n: int, q: int, s: int, first: range, remaining: int | None) -> int:
-    """Sum of the submodule counts over shapes with mu_1 in ``first``.
-
-    A shape is a chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 counted by
-    prod_i [mu_{i-1}, mu_i]_q q^((n - mu_{i-1}) mu_i); with ``remaining`` set
-    only chains with mu_1 + ... + mu_s = remaining count.  Suffix sums are
-    memoised on (position, mu_{i-1}, what remains), so each is built once
-    from the q-Pascal rows up to max(first), which is all the sum reads
-    below position 1.
-    """
-    _check_total_budget(n, q, s, first, remaining)
-    rows = first[-1]
-    pascal = _q_pascal(rows, q)
-    memo: dict[tuple, int] = {}
-
-    def suffix(pos: int, prev: int, remaining: int | None) -> int:
-        if pos > s:
-            return 0 if remaining else 1
-        key = (pos, prev, remaining)
-        if key in memo:
-            return memo[key]
-        if remaining is None:
-            lo, hi = 0, prev
-        else:
-            # as in q_multinomial: the s - pos parts still to come, each at
-            # most the part chosen now, must absorb what remains
-            lo = -(-remaining // (s - pos + 1))
-            hi = min(prev, remaining)
-        row = pascal[prev]
-        x = q ** (n - prev)
-        total = 0
-        for mu in range(hi, lo - 1, -1):  # Horner in x
-            rest = suffix(pos + 1, mu, None if remaining is None else remaining - mu)
-            total = total * x + row[mu] * rest
-        if total and lo:
-            total *= x ** lo
-        memo[key] = total
-        return total
-
-    top = pascal[n] if n <= rows else None
-    result = 0
-    for mu in first:
-        binomial = gaussian_binomial(n, mu, q) if top is None else top[mu]
-        result += binomial * suffix(2, mu, None if remaining is None else remaining - mu)
-    return result
-
-
 @lru_cache(maxsize=256)
 def total_by_length(n: int, ring: ChainRingSpec, ell: int) -> int:
     """Number of submodules of R^n of length ell (all types combined).
 
-    Raises BudgetExceededError when the chain sum would exceed TOTAL_BUDGET.
+    This is the depth-s q-multinomial at base q.  Raises BudgetExceededError
+    when its chain sum would exceed ``qseries.TOTAL_BUDGET``.
     """
     if ell < 0 or ell > n * ring.s:
         raise ParameterError(f"length must lie in [0, {n * ring.s}], got {ell}")
-    first = range(-(-ell // ring.s), min(n, ell) + 1)
-    return _chain_sum(n, ring.q, ring.s, first, ell)
+    return q_multinomial(n, ell, ring.s, ring.q)
 
 
 @lru_cache(maxsize=256)
@@ -306,7 +203,7 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     """Number of submodules of R^n of the given rank (all types combined).
 
     Rank is mu_1.  Raises BudgetExceededError when the chain sum would
-    exceed TOTAL_BUDGET.
+    exceed ``qseries.TOTAL_BUDGET``.
     """
     if not 0 <= rank <= n:
         raise ParameterError(f"rank must lie in [0, {n}], got {rank}")

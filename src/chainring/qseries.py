@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
-from .errors import NonconvergentError, ParameterError
+from .errors import BudgetExceededError, NonconvergentError, ParameterError
 
 _EPS = 2.0 ** -52
 
@@ -107,15 +107,25 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
     return pochhammer_infinite(qinv, qinv, policy)
 
 
+# Upper limit on the a-priori cost of one exact chain sum, in bit operations
+# (see _check_total_budget).  The totals in the tests, the published tables
+# and the benchmark stay below 2^34, length 400 in R^200 at q = 2, s = 4 costs
+# about 2^36.7 and takes seconds, and length 4500 in R^3000 at q = 2, s = 3,
+# whose q-Pascal table alone would not fit in memory, costs 2^46.4.
+TOTAL_BUDGET = 1 << 37
+
+
 def q_multinomial(n: int, ell: int, s: int, base):
     """Generalized Gaussian coefficient of depth s.
 
     Sum over all compositions mu_1 + ... + mu_s = ell of
     base^(sum_j (n - mu_j) mu_{j+1}) * [n, mu_1] [mu_1, mu_2] ... [mu_{s-1}, mu_s]
     at the given base.  Compositions that are not weakly decreasing or exceed n
-    contribute nothing (the k > n convention zeroes them), so the recursion
-    only descends weakly decreasing prefixes.  s = 1 degenerates to
-    ``gaussian_binomial``.
+    contribute nothing (the k > n convention zeroes them), so this is the
+    chain sum over n >= mu_1 >= ... >= mu_s with sum mu_i = ell; at a prime
+    power base q it counts the length-ell submodules of R^n.  s = 1
+    degenerates to ``gaussian_binomial``.  Raises BudgetExceededError when
+    the sum would exceed TOTAL_BUDGET.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
@@ -123,27 +133,107 @@ def q_multinomial(n: int, ell: int, s: int, base):
         raise ParameterError(f"ell must lie in [0, {n * s}], got {ell}")
     if isinstance(base, Fraction) and base.denominator == 1:
         base = int(base)
-    one = 1 if isinstance(base, int) else Fraction(1)
-    total = one - one
+    total = _chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
+    return total if isinstance(base, int) else Fraction(total)
 
-    def descend(pos: int, prev: int, remaining: int, partial):
-        nonlocal total
+
+def _q_pascal(rows: int, base) -> list[list]:
+    """Gaussian binomials [m, k] for 0 <= k <= m <= rows, row by row.
+
+    The q-Pascal rule [m, k] = [m-1, k-1] + base^k [m-1, k] needs no division;
+    it builds each row's first half, and [m, k] = [m, m-k] gives the rest.
+    """
+    table = [[1]]
+    for m in range(1, rows + 1):
+        above = table[-1]
+        row = [1]
+        power = 1
+        for k in range(1, m // 2 + 1):
+            power *= base
+            row.append(above[k - 1] + power * above[k])
+        table.append(row + row[m - m // 2 - 1 :: -1])
+    return table
+
+
+def _check_total_budget(n: int, base, s: int, first: range, remaining: int | None):
+    """Raise BudgetExceededError if a chain sum would cost more than TOTAL_BUDGET.
+
+    The cost is bounded a priori by (q-Pascal entries plus multiply-adds)
+    times the bits of the largest value the sum builds.  A state at a
+    position with t parts left reads at most prev + 1 - ceil(remaining / t)
+    terms, over remaining <= t prev; a state of the last position under a
+    length constraint reads one.  The largest value is below
+    4^s (rows+1)^s b^E at an integer base b, where E bounds
+    sum_i mu_i (n - mu_i) over the chains, because [m, k]_b < 4 b^(k (m - k))
+    and there are at most (rows+1)^s chains.  At a base a/c a unit of E
+    costs log2(max(a, c)) bits of numerator and log2(c) of denominator.
+    """
+    rows = first[-1]
+
+    def peak(lo: int, hi: int) -> int:  # max of mu (n - mu) over lo <= mu <= hi
+        mu = min(max(n // 2, lo), hi)
+        return mu * (n - mu)
+
+    triangle = (rows + 1) * (rows + 2) // 2
+    terms = triangle + len(first) * (rows + 1)
+    for t in range(1, s - 1):  # positions 3..s
+        terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
+    exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
+    ratio = Fraction(base)
+    unit = math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
+    bits = math.ceil(exponent * unit) + s * (2 + (rows + 1).bit_length())
+    if terms * bits > TOTAL_BUDGET:
+        raise BudgetExceededError(
+            f"exact total at n={n}, s={s} needs about {terms * bits:.2g} bit operations, "
+            f"over the budget of {TOTAL_BUDGET:.2g}"
+        )
+
+
+def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
+    """Sum over chains n = mu_0 >= mu_1 >= ... >= mu_s >= 0 with mu_1 in ``first``.
+
+    A chain is weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i),
+    which at a prime power base counts the submodules of that shape; with
+    ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
+    Suffix sums are memoised on (position, mu_{i-1}, what remains), so each is
+    built once from the q-Pascal rows up to max(first), which is all the sum
+    reads below position 1.
+    """
+    _check_total_budget(n, base, s, first, remaining)
+    rows = first[-1]
+    pascal = _q_pascal(rows, base)
+    memo: dict[tuple, int | Fraction] = {}
+
+    def suffix(pos: int, prev: int, remaining: int | None):
         if pos > s:
-            if remaining == 0:
-                total += partial
-            return
-        # weak decrease bounds the part by prev, and the s - pos parts still to
-        # come (each <= the part chosen now) must be able to absorb the rest
-        lo = -(-remaining // (s - pos + 1))  # ceil
-        hi = min(prev, remaining)
-        for mu in range(lo, hi + 1):
-            factor = gaussian_binomial(prev, mu, base)
-            if pos > 1:
-                factor *= base ** ((n - prev) * mu)
-            descend(pos + 1, mu, remaining - mu, partial * factor)
+            return 0 if remaining else 1
+        key = (pos, prev, remaining)
+        if key in memo:
+            return memo[key]
+        if remaining is None:
+            lo, hi = 0, prev
+        else:
+            # weak decrease bounds the part by prev, and the s - pos parts still to
+            # come, each at most the part chosen now, must absorb what remains
+            lo = -(-remaining // (s - pos + 1))
+            hi = min(prev, remaining)
+        row = pascal[prev]
+        x = base ** (n - prev)
+        total = 0
+        for mu in range(hi, lo - 1, -1):  # Horner in x
+            rest = suffix(pos + 1, mu, None if remaining is None else remaining - mu)
+            total = total * x + row[mu] * rest
+        if total and lo:
+            total *= x ** lo
+        memo[key] = total
+        return total
 
-    descend(1, n, ell, one)
-    return total
+    top = pascal[n] if n <= rows else None
+    result = 0
+    for mu in first:
+        binomial = gaussian_binomial(n, mu, base) if top is None else top[mu]
+        result += binomial * suffix(2, mu, None if remaining is None else remaining - mu)
+    return result
 
 
 def balanced_multinomial(n: int, m, s: int, base) -> ApproxReal:

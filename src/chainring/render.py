@@ -1,4 +1,4 @@
-"""Deterministic decimal rendering of exact rationals and certified floats.
+"""Deterministic decimal rendering of exact integers, rationals and certified floats.
 
 Fixed-point output uses round-half-even.  Values below 1e-4 switch to
 scientific notation; values whose complement from 1 is too small to show at
@@ -8,9 +8,24 @@ value is never touched: rendering is presentation only.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
+from .errors import ParameterError
+
 SCI_BELOW = Fraction(1, 10_000)
+
+
+def render_integer(value: int) -> str:
+    """Decimal digits of an exact integer of any length.
+
+    ``str`` refuses integers beyond the interpreter's int-to-str digit limit;
+    ``decimal`` converts them exactly and leaves that process-wide limit alone.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def render_scientific(x: Fraction, sig: int = 3) -> str:
@@ -46,6 +61,8 @@ def render_ratio(
     ``1-<complement>``; the default is half an ulp of the fixed-point grid,
     i.e. exactly when fixed-point rounding would print 1.
     """
+    if digits < 0:
+        raise ParameterError(f"precision must be nonnegative, got {digits}")
     x = Fraction(x)
     if x < 0:
         raise ValueError("rendering expects a nonnegative value")
@@ -62,4 +79,4 @@ def render_ratio(
         return "1-" + render_scientific(complement, 2)
     scaled = round(x * 10 ** digits)
     whole, frac = divmod(scaled, 10 ** digits)
-    return f"{whole}.{frac:0{digits}d}"
+    return f"{render_integer(whole)}.{render_integer(frac).zfill(digits)}"

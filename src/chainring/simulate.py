@@ -299,6 +299,8 @@ def sample_matrix(m: int, n: int, ring: ConcreteRing, seed: int, stream: int = 0
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 

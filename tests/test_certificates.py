@@ -136,7 +136,10 @@ def mp_balanced(n, m, s, q):
     """x^(s n^2/4 - m^2/s) times the depth-s multinomial at 1/x = q.
 
     The multinomial is the exact number of submodules of length s n/2 - m,
-    which modcount sums over shape chains, apart from qseries.q_multinomial.
+    which is the same chain sum that balanced_multinomial reads; its exact
+    value is pinned against type sums by test_modcount's
+    test_totals_equal_type_sums, so this checks only the log-domain
+    certificate built on it.
     """
     mult = total_by_length(n, ChainRingSpec(q=q, s=s), int(Fraction(s * n, 2) - m))
     exponent = Fraction(s * n * n, 4) - Fraction(m) ** 2 / s

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "code entropy --metric lee --p 2 --s 2 --n 0 --delta 0.1",
+            "code gv-experiment --metric hamming --p 2 --s 2 --n 0 --delta 0.05 --eps 0.15 --trials 10 --seed 1",
+            "code gv-experiment --metric hamming --p 2 --s 2 --n 6 --delta 0.05 --eps 0.15 --trials 10 --seed -1",
+            "prob free-rank --n 4 --q 2 --s 2 --K 2 --precision -3",
+        ],
+    )
+    def test_out_of_range_inputs_exit_2(self, capsys, argv):
+        status, out, err = run_cli(capsys, argv.split())
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_oracle_verify_passes(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
         assert status == 0
@@ -136,6 +151,16 @@ class TestCountAndProb:
         result = json.loads(out)["result"]
         assert int(Decimal(result["numerator"])) == expected.numerator
         assert int(Decimal(result["denominator"])) == expected.denominator
+
+    def test_precision_past_the_str_digit_limit(self, capsys):
+        argv = ["prob", "free-rank", "--n", "4", "--q", "2", "--s", "2", "--K", "2", "--precision", "5000"]
+        expected = free_fraction_by_rank(4, ChainRingSpec(q=2, s=2), 2)
+        status, out, _ = run_cli(capsys, argv)
+        assert status == 0
+        whole, frac = out.rstrip("\n").split(" = ")[1].split(".")
+        assert len(frac) == 5000
+        shown = Fraction(int(whole) * 10 ** 5000 + int(Decimal(frac)), 10 ** 5000)
+        assert abs(shown - expected) <= Fraction(1, 2 * 10 ** 5000)
 
 
 class TestCodeAndDensity:

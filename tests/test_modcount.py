@@ -26,7 +26,6 @@ from chainring.modcount import (
     types_of_length,
     unimodular_probability,
 )
-from chainring.qseries import q_multinomial
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
 
@@ -153,14 +152,6 @@ class TestTotals:
         assert total_by_length(2, Z4, 2) == by_length[2] == 7
         assert total_by_length(2, Z4, 1) == by_length[1] == 3
         assert total_by_length(2, Z4, 4) == 1
-
-    def test_total_matches_q_multinomial_on_grid(self):
-        for q in (2, 3):
-            for s in (1, 2, 3, 4):
-                ring = ChainRingSpec(q=q, s=s)
-                for n in range(1, 9):
-                    for ell in range(n * s + 1):
-                        assert total_by_length(n, ring, ell) == q_multinomial(n, ell, s, q)
 
     def test_total_by_rank_examples(self, z4_census):
         assert total_by_rank(2, Z4, 1) == 9

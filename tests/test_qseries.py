@@ -1,10 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from chainring.approx import TruncationPolicy
-from chainring.errors import NonconvergentError, ParameterError
+from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError
 from chainring.qseries import (
     balanced_multinomial,
     euler_function,
@@ -146,13 +147,23 @@ class TestQMultinomial:
                 for ell in range(n + 1):
                     assert q_multinomial(n, ell, 1, base) == gaussian_binomial(n, ell, base)
 
-    @pytest.mark.parametrize("base", [2, 3, HALF])
+    @pytest.mark.parametrize("base", [2, 3, HALF, Fraction(3, 2), Fraction(2, 3)])
     def test_matches_unconstrained_composition_sum(self, base):
         # the literal definition sums over all compositions; zero terms prune
+        kind = int if isinstance(base, int) else Fraction
         for n in range(1, 5):
             for s in (2, 3):
                 for ell in range(n * s + 1):
-                    assert q_multinomial(n, ell, s, base) == naive_q_multinomial(n, ell, s, base)
+                    value = q_multinomial(n, ell, s, base)
+                    assert type(value) is kind
+                    assert value == naive_q_multinomial(n, ell, s, base)
+
+    @pytest.mark.parametrize("base", [2, Fraction(3, 2), Fraction(2, 3)])
+    def test_oversized_sum_refused_before_work(self, base):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="budget"):
+            q_multinomial(3000, 4500, 3, base)
+        assert time.perf_counter() - start < 1
 
 
 class TestBalancedMultinomial:
@@ -174,6 +185,12 @@ class TestBalancedMultinomial:
         numerator = float(gaussian_binomial(n, ell // s, Fraction(1, q)))
         denominator = balanced_multinomial(n, Fraction(s * n, 2) - ell, s, Fraction(1, q))
         assert abs(numerator / denominator.value - float(psi)) < 1e-9
+
+    def test_oversized_multinomial_refused_before_work(self):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="budget"):
+            balanced_multinomial(1000, 0, 3, Fraction(1, 3))
+        assert time.perf_counter() - start < 1
 
     def test_invalid_index(self):
         with pytest.raises(ParameterError):
