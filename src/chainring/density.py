@@ -11,6 +11,16 @@ symbol.  The quadratic exponent is the inverse-Cartan form of the A_{s-1} root
 system, which bounds it below by (K_2^2 + ... + K_s^2)/s and makes the tail
 super-geometric; that bound drives the certified truncation used here.
 
+Below the truncation cap almost every index vector's term lies under the last
+bit of the sum, so the evaluator walks the suffix sums depth first and stops a
+branch once a lower bound on its exponents passes E_max.  With the congruence
+the exponent is the sum of squared deviations of {0, N_1, ..., N_{s-1}}, and
+Welford's running update of it never decreases as values are added; without
+it the exponent is a sum of squares.  E_max is set so that all the dropped
+terms together weigh less than B <= 2^-80, and one exact ``math.fsum`` sign
+test proves that adding B to the kept terms cannot move the rounded sum.  The
+value and its error bound are therefore bit for bit those of the full sum.
+
 The same machinery evaluates the Andrews-Gordon series/product pair, which
 sandwiches the density: the series at 1/q from below and at 1/q^(s^2-s) from
 above.  For s = 2 there is also a closed form in half-base Pochhammer symbols.
@@ -34,6 +44,8 @@ from .modcount import (
 from .qseries import euler_function, pochhammer_infinite
 
 _EPS = 2.0 ** -52
+# bound on the mass of the terms the multi-sum walk leaves out (see _multi_sum)
+_PRUNED_MASS = 2.0 ** -80
 
 
 def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
@@ -54,24 +66,6 @@ def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
         sum_sq += partial * partial
         total += partial
     return Fraction(sum_sq) - Fraction(total * total, s)
-
-
-def _index_vectors(s: int, cap: int):
-    """All (k_1, ..., k_{s-1}) >= 0 with k_1 + ... + k_{s-1} <= cap.
-
-    Each comes with N_1 + ... + N_{s-1} and N_1^2 + ... + N_{s-1}^2 for the
-    suffix sums N_i = k_i + ... + k_{s-1}.
-    """
-
-    def descend(i, remaining, suffix, running, total, sum_sq):
-        if i == 0:
-            yield suffix, total, sum_sq
-            return
-        for k in range(remaining + 1):
-            n = running + k
-            yield from descend(i - 1, remaining - k, (k,) + suffix, n, total + n, sum_sq + n * n)
-
-    yield from descend(s - 1, cap, (), 0, 0, 0)
 
 
 def _euler_floor(x: float, policy) -> float:
@@ -112,6 +106,50 @@ def _poch_table(x: float, cap: int) -> list[float]:
     return table
 
 
+def _pruned_terms(s: int, cap: int, poch: list[float], log_x: float, congruence: bool, e_max):
+    """Terms of the index vectors below ``cap`` whose exponent is at most ``e_max``.
+
+    Walks the suffix sums N_{s-1} <= ... <= N_1 <= cap depth first and returns
+    the kept terms and whether any vector was cut off.  With the congruence a
+    vector's exponent is the sum of squared deviations of {0, N_1, ..., N_{s-1}}.
+    For the m values placed so far, 0 included, m * (sum of squares) - (sum)^2
+    is m times their sum of squared deviations, and Welford's update (adding
+    m/(m+1) (N - mean)^2 for a new value N) shows that sum never decreases as
+    values are added.  Without the congruence the exponent N_1^2 + ... +
+    N_{s-1}^2 grows directly.  Either bound is exact in integers, and it grows
+    with k at each level, because the new N = running + k is at least every
+    value placed so far and so at least their mean: once it passes e_max the
+    level's loop can stop.
+    """
+    terms: list[float] = []
+    cut = False
+
+    def descend(i, remaining, suffix, running, placed, total, sum_sq):
+        nonlocal cut
+        for k in range(remaining + 1):
+            n = running + k
+            t = total + n
+            q = sum_sq + n * n
+            if congruence:
+                if placed * q - t * t > placed * e_max:
+                    cut = True
+                    break
+            elif q > e_max:
+                cut = True
+                break
+            if i > 1:
+                descend(i - 1, remaining - k, (k,) + suffix, n, placed + 1, t, q)
+            elif not (congruence and t % s):
+                exponent = (s * q - t * t) / s if congruence else q
+                term = math.exp(exponent * log_x)
+                for j in (k,) + suffix:
+                    term /= poch[j]
+                terms.append(term)
+
+    descend(s - 1, cap, (), 0, 2, 0, 0)
+    return terms, cut
+
+
 def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> ApproxReal:
     """Certified sum over k_1, ..., k_{s-1} >= 0 of x^E / ((x)_{k_1} ... (x)_{k_{s-1}}).
 
@@ -126,22 +164,37 @@ def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> 
       the congruence agree with the module docstring's prefix-sum form term by
       term.  Its least value at index sum T is T^2/s rather than T^2, so the
       truncation runs on scale s.
+
+    The value is the correctly rounded (``math.fsum``) sum of the terms of all
+    index vectors with k_1 + ... + k_{s-1} <= cap, but only the terms with
+    E <= e_max are computed (``_pruned_terms``).  Each of the at most
+    C(cap+s-1, s-1) dropped terms is below x^e_max / euler_low^(s-1), so their
+    sum is below B = 2 C(cap+s-1, s-1) x^e_max / euler_low^(s-1), the factor 2
+    covering the rounding of the computed terms; e_max starts where B <=
+    2^-80.  The terms are non-negative, so the full sum rounds to the same
+    float as the kept one when kept + B < value + ulp(value)/2, one exact
+    sign test by ``math.fsum``.  If that fails, e_max doubles and the walk
+    repeats; e_max = inf keeps every term, and a walk that cuts nothing needs
+    no test.
     """
     scale = s if congruence else 1
-    cap, tail = _cutoff(x, s, scale, policy, _euler_floor(x, policy))
+    euler_low = _euler_floor(x, policy)
+    cap, tail = _cutoff(x, s, scale, policy, euler_low)
     poch = _poch_table(x, cap)
     log_x = math.log(x)
 
-    terms = []
-    for kvec, total, sum_sq in _index_vectors(s, cap):
-        if congruence and total % s:
-            continue
-        exponent = (s * sum_sq - total * total) / s if congruence else sum_sq
-        term = math.exp(exponent * log_x)
-        for k in kvec:
-            term /= poch[k]
-        terms.append(term)
-    value = math.fsum(terms)
+    weight = 2.0 * math.comb(cap + s - 1, s - 1) / euler_low ** (s - 1)
+    e_max = max(1, math.ceil(math.log(weight / _PRUNED_MASS) / -log_x))
+    while True:
+        terms, cut = _pruned_terms(s, cap, poch, log_x, congruence, e_max)
+        value = math.fsum(terms)
+        if not cut:
+            break
+        dropped = weight * x ** e_max
+        if math.fsum(terms + [-value, -math.ulp(value) / 2, dropped]) < 0:
+            break
+        # past 2^-900 the power nears the subnormals; walk everything instead
+        e_max = 2 * e_max if x ** (2 * e_max) > 2.0 ** -900 else math.inf
     rounding = value * (2 * cap + 2 * s + 16) * _EPS
     return ApproxReal(value, tail + rounding)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParameterError
-from .qseries import _chain_sum, gaussian_binomial, pochhammer_finite, q_multinomial
+from .qseries import _chain_sum, _check_count_budget, gaussian_binomial, pochhammer_finite, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -101,7 +101,8 @@ def count_by_shape(n: int, ring: ChainRingSpec, shape: Shape) -> int:
     """Number of submodules of R^n with the given shape.
 
     prod_{i=1}^{s} q^((n - mu_i) mu_{i+1}) * [n - mu_{i+1}, mu_i - mu_{i+1}]_q
-    with mu_{s+1} = 0.
+    with mu_{s+1} = 0.  Raises BudgetExceededError when the product would
+    exceed ``qseries.TOTAL_BUDGET``.
     """
     type_from_shape(shape)  # validates monotonicity
     if len(shape) != ring.s:
@@ -110,10 +111,12 @@ def count_by_shape(n: int, ring: ChainRingSpec, shape: Shape) -> int:
         raise ParameterError(f"shape exceeds the ambient rank: mu_1 = {shape[0]} > n = {n}")
     q = ring.q
     ext = tuple(shape) + (0,)
-    result = 1
-    for i in range(ring.s):
-        result *= q ** ((n - ext[i]) * ext[i + 1])
-        result *= gaussian_binomial(n - ext[i + 1], ext[i] - ext[i + 1], q)
+    binomials = [(n - ext[i + 1], ext[i] - ext[i + 1]) for i in range(ring.s)]
+    exponent = sum((n - ext[i]) * ext[i + 1] for i in range(ring.s))
+    _check_count_budget(q, binomials, exponent)
+    result = q ** exponent
+    for m, k in binomials:
+        result *= gaussian_binomial(m, k, q)
     return result
 
 
@@ -123,27 +126,39 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
 
     q^(sum_i (n - K_i) K_{i-1}) * prod_i [n - K_{i-1}, k_i]_q where
     K_i = k_1 + ... + k_i.  Agrees with ``count_by_shape`` on the conjugate.
+    Raises BudgetExceededError when the product would exceed
+    ``qseries.TOTAL_BUDGET``.
     """
     _check_type(mtype, ring.s)
     if rank_of(mtype) > n:
         raise ParameterError(f"rank {rank_of(mtype)} exceeds ambient rank {n}")
     q = ring.q
-    result = 1
+    binomials = []
     prefix = 0
     exponent = 0
     for k in mtype:
-        result *= gaussian_binomial(n - prefix, k, q)
+        binomials.append((n - prefix, k))
         exponent += (n - prefix - k) * prefix
         prefix += k
+    _check_count_budget(q, binomials, exponent)
+    result = 1
+    for m, k in binomials:
+        result *= gaussian_binomial(m, k, q)
     return result * q ** exponent
 
 
 def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
-    """Number of free submodules of R^n of the given rank: q^((n-K)K(s-1)) [n,K]_q."""
+    """Number of free submodules of R^n of the given rank: q^((n-K)K(s-1)) [n,K]_q.
+
+    Raises BudgetExceededError when the product would exceed
+    ``qseries.TOTAL_BUDGET``.
+    """
     if not 0 <= rank <= n:
         raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
     q = ring.q
-    return q ** ((n - rank) * rank * (ring.s - 1)) * gaussian_binomial(n, rank, q)
+    exponent = (n - rank) * rank * (ring.s - 1)
+    _check_count_budget(q, [(n, rank)], exponent)
+    return q ** exponent * gaussian_binomial(n, rank, q)
 
 
 def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:

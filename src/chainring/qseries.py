@@ -34,6 +34,7 @@ def gaussian_binomial(n: int, k: int, base):
     if k < 0 or k > n:
         return 0 if isinstance(base, int) else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
+    _check_count_budget(base, [(n, k)], 0)
     if isinstance(base, int):
         result = 1
         for i in range(1, k + 1):
@@ -113,6 +114,38 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
 # about 2^36.7 and takes seconds, and length 4500 in R^3000 at q = 2, s = 3,
 # whose q-Pascal table alone would not fit in memory, costs 2^46.4.
 TOTAL_BUDGET = 1 << 37
+
+
+def _check_count_budget(base, binomials, exponent: int):
+    """Raise BudgetExceededError if an exact count would cost more than TOTAL_BUDGET.
+
+    The count is base^exponent times the Gaussian binomials [m, k] listed in
+    ``binomials``.  [m, k] takes min(k, m - k) steps, each multiplying and
+    dividing a product below 4 base^(k (m - k)) by factors of at most
+    m log2(base) bits, so a step costs the product's bits times the factor's
+    64-bit words.  The power and the products that join the factors each
+    cost about b (b/64)^0.585 for a result of b bits (Karatsuba).  At a base
+    a/c a unit of exponent costs bits as in _check_total_budget.  Measured
+    on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
+    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
+    """
+    ratio = Fraction(base)
+    unit = math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
+    bits = exponent * unit
+    factors = 1 if exponent else 0
+    cost = 0.0
+    for m, k in binomials:
+        k = min(k, m - k)
+        if k > 0:
+            size = k * (m - k) * unit + 2
+            cost += 2 * k * size * (m * unit // 64 + 1)
+            bits += size
+            factors += 1
+    cost += (factors - 1 + (exponent > 0)) * bits * (bits / 64 + 1) ** 0.585
+    if cost > TOTAL_BUDGET:
+        raise BudgetExceededError(
+            f"exact count needs about {cost:.2g} bit operations, over the budget of {TOTAL_BUDGET:.2g}"
+        )
 
 
 def q_multinomial(n: int, ell: int, s: int, base):

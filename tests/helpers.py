@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def f2_subspace_count(n: int, k: int) -> int:
@@ -137,3 +140,53 @@ def naive_submodule_census(p: int, s: int, n: int) -> dict[tuple[int, ...], int]
         t = span_type(span, p, s)
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def chain_dp_limit_density(q: int, s: int) -> tuple[float, float]:
+    """Limit free density 1/S at x = 1/q and an error bound, from a chain DP.
+
+    S sums x^E / ((x)_{N_{s-1}} (x)_{N_{s-2} - N_{s-1}} ... (x)_{N_1 - N_2}) over
+    0 <= N_{s-1} <= ... <= N_1 with s | N_1 + ... + N_{s-1}, where E is the sum
+    of squared deviations of the s values {0, N_{s-1}, ..., N_1}.  The DP places
+    the values in increasing order and keeps one weight per (last value,
+    running sum) state.  Placing an (m+1)-th value N multiplies by Welford's
+    factor x^((m N - sum)^2 / (m (m+1))), which is at most 1, so no weight
+    underflows before its term is negligible.  No index vector is enumerated.
+
+    Truncation keeps N_1 <= cap.  Each dropped term has E >= N_1^2 / 2, the
+    squared deviations of {0, N_1} alone, and there are at most
+    (N_1 + 1)^(s-2) vectors per value of N_1.  The rounding allowance is
+    first order: (2 cap + 8) u per placed value for the Pochhammer factors and
+    the dot products, plus (|ln x| + 1) u E per term for the powers, carried
+    as a second weight.
+    """
+    x = 1.0 / q
+    u = 2.0 ** -53
+    euler = math.prod(1.0 - x ** j for j in range(1, 200)) * (1.0 - 2.0 * x ** 200)
+    cap = 1
+    while True:
+        tail = sum((n + 1) ** (s - 2) * x ** (n * n / 2) for n in range(cap + 1, 4 * cap + 40))
+        tail /= euler ** (s - 1)
+        if tail < 1e-30:
+            break
+        cap += 1
+    poch = np.cumprod([1.0] + [1.0 - x ** j for j in range(1, cap + 1)])
+    gap = np.subtract.outer(np.arange(cap + 1), np.arange(cap + 1))
+    step = np.where(gap >= 0, 1.0 / poch[np.maximum(gap, 0)], 0.0)  # step[N', N]
+    width = (s - 1) * cap + 1
+    weight = np.zeros((cap + 1, width))
+    moment = np.zeros((cap + 1, width))  # weight times the exponent so far
+    weight[0, 0] = 1.0
+    sums = np.arange(width)
+    for m in range(1, s):
+        reached, carried = step @ weight, step @ moment
+        weight, moment = np.zeros_like(weight), np.zeros_like(moment)
+        for n in range(cap + 1):
+            exponent = (m * n - sums[: width - n]) ** 2 / (m * (m + 1))
+            factor = x ** exponent
+            weight[n, n:] = factor * reached[n, : width - n]
+            moment[n, n:] = factor * (carried[n, : width - n] + exponent * reached[n, : width - n])
+    total = weight[:, ::s].sum()
+    error = tail + u * ((s - 1) * (2 * cap + 8) * total + (abs(math.log(x)) + 1) * moment[:, ::s].sum())
+    density = 1.0 / total
+    return density, error / (total * (total - error)) + u * density

@@ -13,6 +13,8 @@ import chainring
 from chainring import cli, simulate
 from chainring.modcount import ChainRingSpec, free_fraction_by_rank, total_by_rank
 
+from helpers import chain_dp_limit_density
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -74,6 +76,29 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "max_index=3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "count free --n 4000 --q 2 --s 3 --K 2000",
+            "count free --n 1000 --q 2 --s 1000 --K 500",
+            "count type --n 4000 --q 2 --s 2 --type 2000,0",
+            "count shape --n 4000 --q 2 --s 2 --shape 2000,2000",
+        ],
+    )
+    def test_exact_count_over_budget_exits_3(self, capsys, argv):
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, argv.split())
+        assert time.perf_counter() - start < 1
+        assert (status, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "budget" in err
+
+    def test_density_limit_reaches_depth_eight(self, capsys):
+        status, out, _ = run_cli(capsys, ["density", "limit", "--q", "2", "--s", "8", "--format", "json"])
+        assert status == 0
+        oracle, error = chain_dp_limit_density(2, 8)
+        assert abs(json.loads(out)["result"]["value"] - oracle) <= error
 
     def test_exact_total_over_budget_exits_3(self, capsys):
         start = time.perf_counter()

@@ -1,8 +1,11 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from chainring import density
 from chainring.approx import TruncationPolicy
 from chainring.density import (
     DensityResult,
@@ -22,7 +25,7 @@ from chainring.modcount import ChainRingSpec, count_by_type, free_fraction_by_le
 from chainring.qseries import euler_function
 from chainring.render import render_ratio
 
-from helpers import cartan_matrix_form
+from helpers import cartan_matrix_form, chain_dp_limit_density
 
 
 class TestCartanForm:
@@ -113,32 +116,124 @@ class TestBitExactValues:
     # table1.csv keeps five digits only
     POLICY = TruncationPolicy(target_tail=1e-12)
 
-    @pytest.mark.parametrize(
-        "q,s,value,abs_error",
-        [
-            (2, 2, 0.5954585268339005, 6.678843848445557e-15),
-            (2, 3, 0.47084401322291564, 6.4535660732766004e-15),
-            (3, 4, 0.7822984644966192, 1.3651949136862151e-14),
-            (11, 4, 0.9900233948764217, 9.964672779674368e-15),
-            (2, 5, 0.3987747873594286, 3.3982115771822136e-14),
-        ],
-    )
+    LIMIT_ROWS = [
+        (2, 2, 0.5954585268339005, 6.678843848445557e-15),
+        (2, 3, 0.47084401322291564, 6.4535660732766004e-15),
+        (3, 4, 0.7822984644966192, 1.3651949136862151e-14),
+        (11, 4, 0.9900233948764217, 9.964672779674368e-15),
+        (2, 5, 0.3987747873594286, 3.3982115771822136e-14),
+    ]
+    SERIES_ROWS = [
+        (0.5, 2, 2.1726687508496574, 2.163724727259014e-14),
+        (1 / 3, 3, 1.6971500137690203, 1.342178935259852e-14),
+        (2 ** -12, 4, 1.000244259877956, 6.265966617743245e-14),
+        (0.2, 5, 1.3147085137299457, 3.397614871275758e-13),
+        # recorded with the exhaustive index-vector walk, before pruning
+        (0.5, 6, 3.3815886245589497, 3.4978396840780945e-14),
+        (0.5, 7, 3.42216756557066, 3.801742696775849e-14),
+    ]
+
+    @pytest.mark.parametrize("q,s,value,abs_error", LIMIT_ROWS)
     def test_limit_free_density(self, q, s, value, abs_error):
         result = limit_free_density(ChainRingSpec(q=q, s=s), self.POLICY)
         assert (result.value, result.abs_error) == (value, abs_error)
 
     @pytest.mark.parametrize(
-        "x,s,value,abs_error",
+        "q,s,tail,value,abs_error",
+        # the benchmark's core cells and q = 2, s = 7, recorded with the
+        # exhaustive index-vector walk, before pruning
         [
-            (0.5, 2, 2.1726687508496574, 2.163724727259014e-14),
-            (1 / 3, 3, 1.6971500137690203, 1.342178935259852e-14),
-            (2 ** -12, 4, 1.000244259877956, 6.265966617743245e-14),
-            (0.2, 5, 1.3147085137299457, 3.397614871275758e-13),
+            (2, 6, 1e-10, 0.3881946852219937, 1.5405062028632617e-13),
+            (5, 7, 1e-12, 0.9386821859082181, 1.9326409024767602e-14),
+            (11, 8, 1e-8, 0.9900159578101316, 6.203384837564257e-10),
+            (3, 6, 1e-12, 0.7760275505960059, 7.397878934061017e-14),
+            (2, 7, 1e-12, 0.3830424528495341, 1.4211210081673947e-14),
         ],
     )
+    def test_limit_free_density_large_s(self, q, s, tail, value, abs_error):
+        result = limit_free_density(ChainRingSpec(q=q, s=s), TruncationPolicy(target_tail=tail))
+        assert (result.value, result.abs_error) == (value, abs_error)
+
+    @pytest.mark.parametrize("x,s,value,abs_error", SERIES_ROWS)
     def test_andrews_gordon_series(self, x, s, value, abs_error):
         result = andrews_gordon_series(x, s, self.POLICY)
         assert (result.value, result.abs_error) == (value, abs_error)
+
+
+def record_walks(monkeypatch):
+    """Spy on the multi-sum walk: the real walk and a list of (args, terms, cut)."""
+    real = density._pruned_terms
+    walks = []
+
+    def spy(*args):
+        terms, cut = real(*args)
+        walks.append((args, terms, cut))
+        return terms, cut
+
+    monkeypatch.setattr(density, "_pruned_terms", spy)
+    return real, walks
+
+
+SMALL_CELLS = [("limit", 1.0 / q, *row) for q, *row in TestBitExactValues.LIMIT_ROWS] + [
+    ("series", *row) for row in TestBitExactValues.SERIES_ROWS if row[1] <= 5
+]
+
+
+def evaluate(kind, x, s, policy):
+    if kind == "limit":
+        return limit_free_density(ChainRingSpec(q=round(1 / x), s=s), policy)
+    return andrews_gordon_series(x, s, policy)
+
+
+class TestPrunedWalk:
+    POLICY = TestBitExactValues.POLICY
+
+    @pytest.mark.parametrize("kind,x,s,value,abs_error", SMALL_CELLS)
+    def test_dropped_mass_within_bound(self, monkeypatch, kind, x, s, value, abs_error):
+        real, walks = record_walks(monkeypatch)
+        evaluate(kind, x, s, self.POLICY)
+        [((_, cap, poch, log_x, congruence, e_max), kept, _)] = walks
+        full, cut = real(s, cap, poch, log_x, congruence, math.inf)
+        assert not cut and math.fsum(full) == math.fsum(kept)
+        assert Counter(kept) <= Counter(full)
+        dropped = math.fsum(full + [-term for term in kept])
+        euler_low = density._euler_floor(x, self.POLICY)
+        bound = 2 * math.comb(cap + s - 1, s - 1) * x ** e_max / euler_low ** (s - 1)
+        assert 0.0 <= dropped <= bound <= 2.0 ** -80
+
+    def test_walk_cuts_most_cells(self, monkeypatch):
+        # the bound test above is vacuous where the walk keeps every term
+        _, walks = record_walks(monkeypatch)
+        for kind, x, s, *_ in SMALL_CELLS:
+            evaluate(kind, x, s, self.POLICY)
+        assert sum(cut for _, _, cut in walks) >= 5
+
+    @pytest.mark.parametrize("mass", [2.0 ** -12, 2.0 ** 40])
+    @pytest.mark.parametrize("kind,x,s,value,abs_error", SMALL_CELLS)
+    def test_failed_sign_test_doubles_e_max(self, monkeypatch, mass, kind, x, s, value, abs_error):
+        # either mass is far above half an ulp of the sum, so the first walk
+        # cuts terms and fails the sign test
+        monkeypatch.setattr(density, "_PRUNED_MASS", mass)
+        _, walks = record_walks(monkeypatch)
+        result = evaluate(kind, x, s, self.POLICY)
+        assert (result.value, result.abs_error) == (value, abs_error)
+        limits = [args[-1] for args, _, _ in walks]
+        assert len(limits) >= 2 and walks[0][2]
+        assert limits[1:] == [2 * e for e in limits[:-1]]
+
+
+class TestLargeDepth:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("s", [7, 8, 9, 10])
+    def test_interval_contains_chain_dp(self, q, s):
+        result = limit_free_density(ChainRingSpec(q=q, s=s))
+        oracle, _ = chain_dp_limit_density(q, s)
+        assert abs(result.value - oracle) <= result.abs_error
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_ordered_out_to_depth_ten(self, q):
+        for s in range(5, 11):
+            assert density_bounds(ChainRingSpec(q=q, s=s)).ordered()
 
 
 class TestAndrewsGordon:

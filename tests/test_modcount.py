@@ -26,6 +26,7 @@ from chainring.modcount import (
     types_of_length,
     unimodular_probability,
 )
+from chainring.qseries import gaussian_binomial
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
 
@@ -233,6 +234,30 @@ class TestTotalBudget:
         ring = ChainRingSpec(q=2, s=2)
         expected = sum(count_by_type(100000, ring, t) for t in compositions(2, 3))
         assert total_by_rank(100000, ring, 3) == expected
+
+
+class TestCountBudget:
+    def test_oversized_counts_refused_before_work(self):
+        ring = ChainRingSpec(q=2, s=3)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="budget"):
+            gaussian_binomial(4000, 2000, 2)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_free(4000, ring, 2000)
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_by_type(4000, ring, (2000, 0, 0))
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_by_shape(4000, ring, (2000, 2000, 2000))
+        # a power of 2.5e11 bits with a small binomial
+        with pytest.raises(BudgetExceededError, match="budget"):
+            count_free(1000, ChainRingSpec(q=2, s=1000), 500)
+        assert time.perf_counter() - start < 1
+
+    def test_long_thin_counts_within_budget(self):
+        # a 10^5-bit power and binomial, cheap to build
+        ring = ChainRingSpec(q=3, s=2)
+        assert count_free(100000, ring, 1) == 3 ** 99999 * (3 ** 100000 - 1) // 2
+        assert count_by_shape(100000, ring, (1, 1)) == count_free(100000, ring, 1)
 
 
 class TestFreeFractions:
