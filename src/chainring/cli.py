@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__, density, modcount, render, simulate
 from . import coding as coding_mod
@@ -330,7 +331,13 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--precision", type=int, default=6)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing does not change an argparse parser, and every parse fills a
+    fresh Namespace, so calls of ``run`` cannot see each other's arguments.
+    """
     parser = argparse.ArgumentParser(
         prog="chainring",
         description="Exact counting and density computations over finite chain rings.",

@@ -6,12 +6,13 @@ Three weights are supported, each extended additively to tuples: Hamming
 (p/(p-1) on the nonzero elements of the minimal ideal, 1 elsewhere except 0).
 Symbol weights may be rational, so they are scaled by their common
 denominator onto an integer grid; ball volumes are exact big-integer counts
-computed by an n-fold convolution on that grid, and all radius comparisons
+computed as one big-integer power on that grid, and all radius comparisons
 happen on the grid with no floating point involved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,9 @@ KINDS = (HAMMING, LEE, HOMOGENEOUS)
 
 MIN_DISTANCE_BUDGET = 1 << 20
 _TRIAL_CHUNK = 4096  # matrices drawn at once by the GV experiment; results do not depend on it
+# entries of min_distance_exhaustive's packed weight table, at most 2^24 so that
+# float32 indices are exact; results do not depend on it
+_TABLE_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,28 +114,21 @@ class BallProfile:
 
 @lru_cache(maxsize=64)
 def ball_profile(n: int, model: WeightModel) -> BallProfile:
-    """Exact weight distribution of R^n via n-fold convolution of the symbol histogram."""
+    """Exact weight distribution of R^n: the coefficients of h(z)^n.
+
+    h(z) is the symbol histogram, sum_x z^(int_weights[x]).  Its n-th power
+    is one big-integer power (Kronecker substitution): every coefficient of
+    h(z)^n is at most h(1)^n = (p^s)^n, so slots of bytes wide enough for
+    (p^s)^n never carry into each other.
+    """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    max_int = max(model.int_weights)
-    histogram = [0] * (max_int + 1)
-    for w in model.int_weights:
-        histogram[w] += 1
-    counts = [1]
-    for _ in range(n):
-        new = [0] * (len(counts) + max_int)
-        for pos, c in enumerate(counts):
-            if c:
-                for w, h in enumerate(histogram):
-                    if h:
-                        new[pos + w] += c * h
-        counts = new
-    cumulative = []
-    running = 0
-    for c in counts:
-        running += c
-        cumulative.append(running)
-    return BallProfile(n=n, scale=model.scale, cumulative=tuple(cumulative))
+    slot = -(-(model.ring.modulus ** n).bit_length() // 8)
+    packed = sum(1 << (8 * slot * w) for w in model.int_weights)
+    width = max(model.int_weights) * n + 1
+    data = (packed ** n).to_bytes(slot * width, "little")
+    counts = (int.from_bytes(data[i : i + slot], "little") for i in range(0, len(data), slot))
+    return BallProfile(n=n, scale=model.scale, cumulative=tuple(itertools.accumulate(counts)))
 
 
 def ball_volume(n: int, radius, model: WeightModel, closed: bool = True) -> int:
@@ -175,9 +172,25 @@ def q_ary_entropy(base: int, delta: float) -> float:
 def entropy_estimate(n: int, delta: float, model: WeightModel) -> ApproxReal:
     """Finite-n growth rate: log of the closed ball at relative radius delta.
 
-    (1/n) log_{p^s} of the closed-ball size at scaled radius
+    (1/n) log_{p^s} of the closed-ball size V at scaled radius
     floor(delta * n * max_symbol_weight); converges to the weight's entropy
     and for Hamming to ``q_ary_entropy``.
+
+    The error bound 1e-13 |value| covers the rounding, with u = 2^-53 and
+    libm's log within one ulp (2u relative):
+    - V is an integer, so either V = 1 and value = 0 exactly, or
+      log(V) >= log(2).
+    - Below 2^1024, math.log rounds V to a double, an absolute error of at
+      most u in log(V), so at most 1.45u relative, then takes the log: 3.45u.
+    - From 2^1024 on, it takes log(m) + e log(2) with V = m 2^e rounded,
+      m in [1/2, 1) (frexp).  log(m) is off by at most 2u absolutely (u
+      from rounding m, one ulp of a value below log(2)), under 0.003u of
+      log(V) >= 709; e log(2) by 2u (the log) plus u (the product), and the
+      sum rounds once: 4.01u.
+    - n log(p^s) is off by 2u (the log) plus u (the product), and the
+      division rounds once.
+    That is at most 4.01u + 3u + u < 8.2u, or 9.2e-16 |value|, to first
+    order, so 1e-13 |value| holds with a factor of about 100 to spare.
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
@@ -196,6 +209,13 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
 
     Coefficient vectors x with x G = 0 are skipped; the zero code gets the
     +infinity sentinel so ensemble statistics never abort.
+
+    An entry of x G is at most top = k (p^s - 1)^2 before reduction.  When
+    top + 1 fits ``_TABLE_SIZE``, g columns of G are packed into one column
+    in radix top + 1 (the last group zero-padded), so one float32 product
+    gives, exactly, an index below radix^g <= 2^24 into a table of the
+    summed weights of its g reduced digits.  Larger moduli run the same
+    kernel with g = 1 in radix p^s, reducing the products first.
     """
     if mat.ring != model.ring:
         raise ParameterError(f"matrix ring {mat.ring} does not match weight model ring {model.ring}")
@@ -203,22 +223,34 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
     k = mat.nrows
     if mod ** k > budget:
         raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {budget}")
-    # float32 products are exact below 2^24 and then fit int32; int64 beyond
-    small = k * (mod - 1) ** 2 < 1 << 24
-    gen = mat.to_array().astype(np.float32 if small else np.int64)
+    top = k * (mod - 1) ** 2
+    packs = top < _TABLE_SIZE
+    radix, g = (top + 1 if packs else mod), 1
+    while packs and radix ** (g + 1) <= _TABLE_SIZE:
+        g += 1
+    groups = -(-mat.ncols // g)
+    padded = np.zeros((k, groups * g), dtype=np.int64)
+    padded[:, : mat.ncols] = mat.to_array()
+    packed = padded.reshape(k, groups, g) @ radix ** np.arange(g, dtype=np.int64)
+    # float32 products are exact below 2^24; int64 beyond
+    small = top < 1 << 24
+    packed = packed.astype(np.float32 if small else np.int64)
     # a codeword weighs at most n * max(int_weights)
     wdtype = np.int32 if mat.ncols * max(model.int_weights) < 1 << 31 else np.int64
-    lut = np.array(model.int_weights, dtype=wdtype)
-    ones = np.ones(mat.ncols, dtype=wdtype)
+    table = _weight_table(model.int_weights, radix, g, wdtype)
+    ones = np.ones(groups, dtype=wdtype)
     best = None
     total = mod ** k
     chunk = 1 << 17
-    coeffs = _coeff_block(mod, k, gen.dtype)
+    coeffs = _coeff_block(mod, k, packed.dtype)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        prods = coeffs[lo:hi] @ gen
-        symbols = prods.astype(np.int32) % mod if small else prods % mod
-        wt = lut[symbols] @ ones
+        index = coeffs[lo:hi] @ packed
+        if small:
+            index = index.astype(np.intp)
+        if not packs:
+            index %= mod
+        wt = table[index] @ ones
         nz = wt[wt > 0]
         if nz.size:
             low = int(nz.min())
@@ -233,6 +265,19 @@ def _coeff_block(mod: int, k: int, dtype) -> np.ndarray:
     block = _all_vectors(mod, k).astype(dtype)
     block.setflags(write=False)
     return block
+
+
+@lru_cache(maxsize=8)
+def _weight_table(int_weights: tuple[int, ...], radix: int, g: int, dtype) -> np.ndarray:
+    """Summed weight of the g digits of each index in radix ``radix``, each reduced mod p^s."""
+    lut = np.array(int_weights, dtype=dtype)
+    index = np.arange(radix ** g, dtype=np.int64)
+    table = np.zeros(radix ** g, dtype=dtype)
+    for _ in range(g):
+        table += lut[index % radix % len(int_weights)]
+        index //= radix
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,16 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
     if rank_of(mtype) > n:
         raise ParameterError(f"rank {rank_of(mtype)} exceeds ambient rank {n}")
     q = ring.q
+    binomials, exponent = _type_factors(n, mtype)
+    _check_count_budget(q, binomials, exponent)
+    result = 1
+    for m, k in binomials:
+        result *= gaussian_binomial(m, k, q)
+    return result * q ** exponent
+
+
+def _type_factors(n: int, mtype: Type) -> tuple[list[tuple[int, int]], int]:
+    """The Gaussian binomials [m, k] and the power of q whose product is count_by_type."""
     binomials = []
     prefix = 0
     exponent = 0
@@ -140,11 +150,7 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
         binomials.append((n - prefix, k))
         exponent += (n - prefix - k) * prefix
         prefix += k
-    _check_count_budget(q, binomials, exponent)
-    result = 1
-    for m, k in binomials:
-        result *= gaussian_binomial(m, k, q)
-    return result * q ** exponent
+    return binomials, exponent
 
 
 def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
@@ -249,16 +255,23 @@ def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> in
     K = rank the surjection count is q^((ell - K) m) * prod_{i<K} (q^m - q^i).
     The scalar factor is therefore q^(m ell) (1/q)_m / (1/q)_{m-K}; the test
     suite checks this reading against exhaustive enumeration
-    (``simulate.validate_matrix_count_interpretation``).
+    (``simulate.validate_matrix_count_interpretation``).  The surjection
+    count is below q^(ell m) and joins K more factors to the product, and
+    is charged so, with the submodule count, to ``qseries.TOTAL_BUDGET``
+    before any big-integer work; over it, BudgetExceededError is raised.
     """
     _check_type(mtype, ring.s)
     if rank_of(mtype) > min(m, n):
         raise ParameterError(f"rank {rank_of(mtype)} exceeds min(m, n) = {min(m, n)}")
     q = ring.q
     rank = rank_of(mtype)
-    surjections = q ** ((length_of(mtype) - rank) * m)
+    length = length_of(mtype)
+    binomials, exponent = _type_factors(n, mtype)
+    _check_count_budget(q, binomials, exponent + length * m, factors=rank)
+    q_m = q ** m
+    surjections = q ** ((length - rank) * m)
     for i in range(rank):
-        surjections *= q ** m - q ** i
+        surjections *= q_m - q ** i
     return count_by_type(n, ring, mtype) * surjections
 
 

@@ -116,11 +116,12 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
 TOTAL_BUDGET = 1 << 37
 
 
-def _check_count_budget(base, binomials, exponent: int):
+def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
     """Raise BudgetExceededError if an exact count would cost more than TOTAL_BUDGET.
 
     The count is base^exponent times the Gaussian binomials [m, k] listed in
-    ``binomials``.  [m, k] takes min(k, m - k) steps, each multiplying and
+    ``binomials``, times ``factors`` more factors whose bits the exponent
+    already counts.  [m, k] takes min(k, m - k) steps, each multiplying and
     dividing a product below 4 base^(k (m - k)) by factors of at most
     m log2(base) bits, so a step costs the product's bits times the factor's
     64-bit words.  The power and the products that join the factors each
@@ -132,7 +133,7 @@ def _check_count_budget(base, binomials, exponent: int):
     ratio = Fraction(base)
     unit = math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
     bits = exponent * unit
-    factors = 1 if exponent else 0
+    factors += 1 if exponent else 0
     cost = 0.0
     for m, k in binomials:
         k = min(k, m - k)

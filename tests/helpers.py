@@ -65,6 +65,45 @@ def brute_ball_volume(n: int, radius, symbol_weights, closed: bool) -> int:
     return sum(c for w, c in dist.items() if w < radius)
 
 
+def naive_ball_profile(n: int, int_weights) -> tuple[int, ...]:
+    """Cumulative ball sizes of (Z/mod)^n on the integer weight grid, by n-fold convolution.
+
+    ``int_weights[x]`` is the scaled weight of symbol x; entry w of the result
+    counts the tuples of scaled weight <= w.
+    """
+    max_int = max(int_weights)
+    histogram = [0] * (max_int + 1)
+    for w in int_weights:
+        histogram[w] += 1
+    counts = [1]
+    for _ in range(n):
+        new = [0] * (len(counts) + max_int)
+        for pos, c in enumerate(counts):
+            for w, h in enumerate(histogram):
+                new[pos + w] += c * h
+        counts = new
+    return tuple(itertools.accumulate(counts))
+
+
+def naive_min_distance(rows, mod: int, symbol_weights):
+    """Least weight of a nonzero vector in the row span of ``rows`` over Z/mod.
+
+    The span is grown as a set of tuples, adding every multiple of one row at
+    a time; the zero span gives math.inf.  Weights are summed as integers
+    over their common denominator.
+    """
+    span = {(0,) * len(rows[0])}
+    for row in rows:
+        span = {
+            tuple((v + a * r) % mod for v, r in zip(word, row))
+            for word, a in itertools.product(span, range(mod))
+        }
+    den = math.lcm(*{w.denominator for w in symbol_weights})
+    scaled = [w.numerator * (den // w.denominator) for w in symbol_weights]
+    best = min((sum(scaled[c] for c in word) for word in span if any(word)), default=None)
+    return math.inf if best is None else Fraction(best, den)
+
+
 def naive_q_multinomial(n: int, ell: int, s: int, base):
     """Literal unconstrained composition sum of the depth-s coefficient."""
     from chainring.qseries import gaussian_binomial

@@ -84,6 +84,7 @@ class TestExitCodes:
             "count free --n 1000 --q 2 --s 1000 --K 500",
             "count type --n 4000 --q 2 --s 2 --type 2000,0",
             "count shape --n 4000 --q 2 --s 2 --shape 2000,2000",
+            "count matrix --m 10000000 --n 2 --q 3 --s 2 --type 1,1",
         ],
     )
     def test_exact_count_over_budget_exits_3(self, capsys, argv):
@@ -286,6 +287,36 @@ class TestJsonEnvelope:
         assert set(result) >= {"params", "k", "g_n", "bound_exact", "bound_decimal",
                                "fractions", "sigma", "pass", "vacuous"}
         assert result["params"]["seed"] == 3
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_do_not_share_state(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        count = ["count", "free", "--n", "5", "--q", "2", "--s", "2", "--K", "2", "--format", "json"]
+        first = run_cli(capsys, count)
+        with pytest.raises(SystemExit) as bad:
+            cli.run(["count", "free", "--n", "x"])
+        assert bad.value.code == 2
+        capsys.readouterr()
+        status, out, _ = run_cli(capsys, [
+            "code", "gv-experiment", "--metric", "lee", "--p", "2", "--s", "2", "--n", "8",
+            "--delta", "0.05", "--eps", "0.2", "--trials", "4", "--seed", "1", "--threads", "2",
+            "--format", "json",
+        ])
+        assert json.loads(out)["params"]["threads"] == 2
+        status, out, _ = run_cli(capsys, [
+            "code", "entropy", "--metric", "lee", "--p", "2", "--s", "2", "--n", "8",
+            "--delta", "0.2", "--format", "json",
+        ])
+        assert status == 0
+        assert "threads" not in json.loads(out)["params"]
+        assert run_cli(capsys, count) == first
+        assert first[0] == 0 and json.loads(first[1])["result"]["count"] == "9920"
+        with pytest.raises(SystemExit) as version:
+            cli.run(["--version"])
+        assert version.value.code == 0
+        assert capsys.readouterr().out == f"chainring {chainring.__version__}\n"
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDeterminism:

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from chainring.coding import (
@@ -22,13 +24,20 @@ from chainring.coding import WeightModel
 from chainring.errors import BudgetExceededError, ParameterError
 from chainring.simulate import ConcreteRing, is_rect_unimodular, ring_matrix, sample_matrix
 
-from helpers import all_tuples, brute_ball_volume
+from helpers import all_tuples, brute_ball_volume, naive_ball_profile, naive_min_distance
 
 Z4 = ConcreteRing(p=2, s=2)
 Z8 = ConcreteRing(p=2, s=3)
 Z9 = ConcreteRing(p=3, s=2)
 RINGS = (Z4, Z8, Z9)
 KINDS = (HAMMING, LEE, HOMOGENEOUS)
+# every Z/p^s up to 32
+SMALL_RINGS = tuple(
+    ConcreteRing(p=p, s=s)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    for s in range(1, 6)
+    if p ** s <= 32
+)
 
 
 class TestWeightModels:
@@ -50,11 +59,9 @@ class TestWeightModels:
         assert hom.scale == 2 and hom.int_weights[3] == 3
 
     def test_axioms_hold_on_all_tables(self):
-        # make_weight_model does not check these; every Z/p^s up to 32
-        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-        rings = [ConcreteRing(p=p, s=s) for p in primes for s in range(1, 6) if p ** s <= 32]
-        assert len(rings) == 18
-        for ring in rings:
+        # make_weight_model does not check these
+        assert len(SMALL_RINGS) == 18
+        for ring in SMALL_RINGS:
             for kind in KINDS:
                 model = make_weight_model(kind, ring)
                 w = model.symbol_weights
@@ -122,6 +129,15 @@ class TestBallVolumes:
                 assert list(profile.cumulative) == sorted(profile.cumulative)
                 assert profile.cumulative[-1] == ring.modulus ** 5
 
+    def test_profile_equals_convolution(self):
+        for ring in SMALL_RINGS:
+            for kind in KINDS:
+                model = make_weight_model(kind, ring)
+                for n in range(13):
+                    assert ball_profile(n, model).cumulative == naive_ball_profile(
+                        n, model.int_weights
+                    ), (ring, kind, n)
+
     def test_open_at_most_closed(self):
         lee = make_weight_model(LEE, Z8)
         for w in range(0, 9):
@@ -130,6 +146,22 @@ class TestBallVolumes:
     def test_negative_radius_rejected(self):
         with pytest.raises(ParameterError):
             ball_volume(2, -1, make_weight_model(LEE, Z4))
+
+
+# sha256 of ",".join(cumulative), recorded from the n-fold convolution
+PINNED_PROFILES = {
+    (LEE, 2, 2, 240): "687036d2a5dab5967ce2134df7fb1c3da9789d52310b483e1a16b148d30ae098",
+    (HOMOGENEOUS, 3, 2, 80): "49b38e4da1da512adf49813a9129872a6edc5662134851adfb4760521c829313",
+    (HAMMING, 3, 3, 40): "0389130eab5617a27162669642d18e105113b42e06b1df8a71464c136d1a9b42",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PROFILES))
+def test_ball_profile_pinned(case):
+    kind, p, s, n = case
+    profile = ball_profile(n, make_weight_model(kind, ConcreteRing(p=p, s=s)))
+    digest = hashlib.sha256(",".join(map(str, profile.cumulative)).encode()).hexdigest()
+    assert digest == PINNED_PROFILES[case]
 
 
 class TestGVBound:
@@ -183,6 +215,24 @@ class TestEntropy:
         assert abs(entropy_estimate(800, 0.5, model).value - 1.0) < 0.02
         assert entropy_estimate(800, 0.4, model).value < 0.99
 
+    @pytest.mark.parametrize("ring", [Z4, Z9], ids=str)
+    def test_certificate_covers_rounding(self, ring):
+        # the docstring's derivation: under 8.2 unit roundoffs relative
+        derived = 8.2 * 2.0 ** -53
+        for kind in KINDS:
+            model = make_weight_model(kind, ring)
+            for n in (1, 12, 240, 1000):
+                cumulative = ball_profile(n, model).cumulative
+                for delta in (0.0, 0.1, 0.35, 0.9):
+                    estimate = entropy_estimate(n, delta, model)
+                    cut = math.floor(Fraction(delta) * (len(cumulative) - 1))
+                    with mpmath.workdps(60):
+                        exact = mpmath.log(cumulative[cut]) / (n * mpmath.log(ring.modulus))
+                        error = abs(mpmath.mpf(estimate.value) - exact)
+                    assert derived * abs(estimate.value) <= estimate.abs_error
+                    assert error <= derived * abs(estimate.value), (kind, n, delta)
+                    assert error <= estimate.abs_error
+
     def test_thresholds(self):
         assert make_weight_model(HOMOGENEOUS, Z4).distance_threshold() == 0.5
         assert make_weight_model(HOMOGENEOUS, Z9).distance_threshold() == 2 / 3
@@ -222,6 +272,51 @@ class TestMinDistance:
                     if any(word):
                         best = min(best, sum(w[c] for c in word))
                 assert min_distance_exhaustive(mat, model) == best
+
+    @pytest.mark.parametrize(
+        "ring",
+        # Z/2^9 and Z/2^13 reduce float32 and int64 products; the others pack
+        [ConcreteRing(p=2, s=1), Z4, Z8, Z9, ConcreteRing(p=3, s=3),
+         ConcreteRing(p=2, s=9), ConcreteRing(p=2, s=13)],
+        ids=str,
+    )
+    def test_matches_naive_reference(self, ring):
+        rng = random.Random(ring.modulus)
+        mod = ring.modulus
+        kmax = max(k for k in (1, 2, 3) if mod ** k <= 20000)
+        for kind in KINDS:
+            model = make_weight_model(kind, ring)
+            shapes = [(rng.randint(1, kmax), rng.randint(1, 7)) for _ in range(5)]
+            for k, n in shapes:
+                cases = [
+                    [[rng.randrange(mod) for _ in range(n)] for _ in range(k)],
+                    # every product reaches top = k (p^s - 1)^2, the largest packed digit
+                    [[mod - 1] * n for _ in range(k)],
+                ]
+                for rows in cases:
+                    expected = naive_min_distance(rows, mod, model.symbol_weights)
+                    assert min_distance_exhaustive(ring_matrix(ring, rows), model) == expected, (
+                        kind, rows
+                    )
+                zero = ring_matrix(ring, [[0] * n for _ in range(k)])
+                assert min_distance_exhaustive(zero, model) == math.inf
+
+    def test_minimum_in_second_chunk(self):
+        # 4^9 coefficient vectors fill two chunks of 2^17; x_0 is the most
+        # significant digit, so only the second chunk holds x_0 = 2, the one
+        # multiple of (1, 2) of least weight: (2, 0)
+        rows = [[1, 2]] + [[0, 0]] * 8
+        for kind in KINDS:
+            model = make_weight_model(kind, Z4)
+            expected = naive_min_distance(rows, 4, model.symbol_weights)
+            assert expected == model.symbol_weights[2]
+            assert min_distance_exhaustive(ring_matrix(Z4, rows), model) == expected
+        rng = random.Random(9)
+        rows = [[rng.randrange(4) for _ in range(5)] for _ in range(9)]
+        lee = make_weight_model(LEE, Z4)
+        assert min_distance_exhaustive(ring_matrix(Z4, rows), lee) == naive_min_distance(
+            rows, 4, lee.symbol_weights
+        )
 
     def test_exact_past_float32_products(self):
         # x * 4097 reaches 2^25 > 2^24, where float32 rounds x * 4097 = 0 mod 2^13
