@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import __version__, density, modcount, render, simulate
 from . import coding as coding_mod
@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, NonconvergentError, ParameterError, Ver
 SCHEMA_VERSION = 1
 
 
-def _parse_type(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
@@ -38,18 +38,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse rational {text!r}") from exc
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ParameterError(f"cannot parse integer list {text!r}") from exc
-
-
-def _ratio_text(x: Fraction, digits: int) -> str:
-    num, den = render.render_integer(x.numerator), render.render_integer(x.denominator)
-    return f"{num}/{den} = {render.render_ratio(x, digits)}"
 
 
 def _ratio_payload(x: Fraction, digits: int) -> dict:
@@ -107,117 +95,103 @@ def _model(args) -> coding_mod.WeightModel:
     return coding_mod.make_weight_model(args.metric, _concrete(args))
 
 
-# ---------------------------------------------------------------- count
+# ---------------------------------------------------------------- handlers
+#
+# A handler takes the parsed arguments and returns (exit status, output).
+# Subjects that differ only in the library call share a factory; the rest
+# have an output shape of their own.
 
 
-def cmd_count(args) -> tuple[int, str]:
-    ring = _ring(args)
-    subject = args.subject
-    if subject == "free":
-        value = modcount.count_free(args.n, ring, args.K)
-    elif subject == "type":
-        value = modcount.count_by_type(args.n, ring, _parse_type(args.type))
-    elif subject == "shape":
-        value = modcount.count_by_shape(args.n, ring, _parse_type(args.shape))
-    elif subject == "length":
-        value = modcount.total_by_length(args.n, ring, args.ell)
-    elif subject == "rank":
-        value = modcount.total_by_rank(args.n, ring, args.K)
-    else:  # matrix
-        value = modcount.matrix_count_by_type(args.m, args.n, ring, _parse_type(args.type))
-    text = render.render_integer(value)
-    return 0, _emit(args, {"count": text}, [text])
+def _count(compute):
+    """Handler printing the exact integer ``compute(args)``."""
+
+    def handler(args) -> tuple[int, str]:
+        text = render.render_integer(compute(args))
+        return 0, _emit(args, {"count": text}, [text])
+
+    return handler
 
 
-# ---------------------------------------------------------------- prob
+def _ratio(compute):
+    """Handler printing the exact rational ``compute(args)`` and its decimal."""
+
+    def handler(args) -> tuple[int, str]:
+        payload = _ratio_payload(compute(args), args.precision)
+        text = f"{payload['numerator']}/{payload['denominator']} = {payload['decimal']}"
+        return 0, _emit(args, payload, [text])
+
+    return handler
 
 
-def cmd_prob(args) -> tuple[int, str]:
-    subject = args.subject
-    if subject == "free-length":
-        ring = _ring(args)
-        value = modcount.free_fraction_by_length(args.n, ring, args.ell)
-    elif subject == "free-rank":
-        ring = _ring(args)
-        value = modcount.free_fraction_by_rank(args.n, ring, args.K)
-    else:  # unimodular
-        ring = modcount.ChainRingSpec(q=args.q, s=args.s)
-        value = modcount.unimodular_probability(args.k, args.n, ring)
-    text = _ratio_text(value, args.precision)
-    return 0, _emit(args, _ratio_payload(value, args.precision), [text])
+def _certified(compute):
+    """Handler printing the certified real ``compute(args)`` with its error bound."""
 
-
-# ---------------------------------------------------------------- density
-
-
-def _density_row_csv(s: int, q: int, result: density.DensityResult) -> list:
-    return [
-        s,
-        q,
-        render.render_ratio(Fraction(result.lower.value), 5, hybrid_below=Fraction(1, 10 ** 5)),
-        render.render_ratio(Fraction(result.value.value), 5, hybrid_below=Fraction(1, 10 ** 5)),
-        render.render_ratio(Fraction(result.upper.value), 5, hybrid_below=Fraction(1, 10 ** 5)),
-    ]
-
-
-def cmd_density(args) -> tuple[int, str]:
-    subject = args.subject
-    if subject == "limit":
-        value = density.limit_free_density(_ring(args))
+    def handler(args) -> tuple[int, str]:
+        value = compute(args)
         text = f"{value.value:.10f} ± {value.abs_error:.3g}"
         return 0, _emit(args, _approx_payload(value), [text])
-    if subject == "bounds":
-        result = density.density_bounds(_ring(args))
-        payload = {
-            "lower": _approx_payload(result.lower),
-            "value": _approx_payload(result.value),
-            "upper": _approx_payload(result.upper),
-        }
-        lines = [
-            f"lower {result.lower.value:.10f} ± {result.lower.abs_error:.3g}",
-            f"exact {result.value.value:.10f} ± {result.value.abs_error:.3g}",
-            f"upper {result.upper.value:.10f} ± {result.upper.abs_error:.3g}",
+
+    return handler
+
+
+def _gv(args) -> Fraction:
+    model = _model(args)  # the model's errors come first
+    return coding_mod.gv_lower_bound(args.n, _parse_fraction(args.d), model)
+
+
+def _bounds(args) -> tuple[int, str]:
+    result = density.density_bounds(_ring(args))
+    parts = (
+        ("lower", "lower", result.lower),
+        ("value", "exact", result.value),
+        ("upper", "upper", result.upper),
+    )
+    payload = {key: _approx_payload(x) for key, _, x in parts}
+    lines = [f"{label} {x.value:.10f} ± {x.abs_error:.3g}" for _, label, x in parts]
+    return 0, _emit(args, payload, lines)
+
+
+def _table1(args) -> tuple[int, str]:
+    csv_rows = [["s", "q", "lower", "exact", "upper"]]
+    payload_rows = []
+    lines = ["s q lower exact upper"]
+    for s, q, result in density.table1_rows():
+        csv_row = [s, q] + [
+            render.render_ratio(Fraction(x.value), 5, hybrid_below=Fraction(1, 10 ** 5))
+            for x in (result.lower, result.value, result.upper)
         ]
-        return 0, _emit(args, payload, lines)
-    if subject == "s2-closed":
-        value = density.depth_two_density(args.q)
-        text = f"{value.value:.10f} ± {value.abs_error:.3g}"
-        return 0, _emit(args, _approx_payload(value), [text])
-    if subject == "table1":
-        rows = density.table1_rows()
-        csv_rows = [["s", "q", "lower", "exact", "upper"]]
-        payload_rows = []
-        lines = ["s q lower exact upper"]
-        for s, q, result in rows:
-            csv_row = _density_row_csv(s, q, result)
-            csv_rows.append(csv_row)
-            lines.append(" ".join(str(cell) for cell in csv_row))
-            payload_rows.append(
-                {
-                    "s": s,
-                    "q": q,
-                    "lower": _approx_payload(result.lower),
-                    "exact": _approx_payload(result.value),
-                    "upper": _approx_payload(result.upper),
-                }
-            )
-        return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
-    if subject == "rank-trend":
-        ring = _ring(args)
-        rate = _parse_fraction(args.rprime)
-        n_list = _parse_int_list(args.n_list)
-        values = density.rank_density_trend(ring, rate, n_list)
-        csv_rows = [["n", "K", "probability"]]
-        lines = []
-        payload_rows = []
-        for n, value in zip(n_list, values):
-            k = int(rate * n)
-            decimal = render.render_ratio(value, args.precision)
-            csv_rows.append([n, k, decimal])
-            lines.append(f"n={n} K={k} {decimal}")
-            payload_rows.append({"n": n, "K": k, **_ratio_payload(value, args.precision)})
-        return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
-    # order-explore
+        csv_rows.append(csv_row)
+        lines.append(" ".join(str(cell) for cell in csv_row))
+        payload_rows.append(
+            {
+                "s": s,
+                "q": q,
+                "lower": _approx_payload(result.lower),
+                "exact": _approx_payload(result.value),
+                "upper": _approx_payload(result.upper),
+            }
+        )
+    return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
+
+
+def _rank_trend(args) -> tuple[int, str]:
+    ring = _ring(args)
+    rate = _parse_fraction(args.rprime)
+    n_list = _parse_ints(args.n_list)
+    values = density.rank_density_trend(ring, rate, n_list)
+    csv_rows = [["n", "K", "probability"]]
+    lines = []
+    payload_rows = []
+    for n, value in zip(n_list, values):
+        k = int(rate * n)
+        decimal = render.render_ratio(value, args.precision)
+        csv_rows.append([n, k, decimal])
+        lines.append(f"n={n} K={k} {decimal}")
+        payload_rows.append({"n": n, "K": k, **_ratio_payload(value, args.precision)})
+    return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
+
+
+def _order_explore(args) -> tuple[int, str]:
     ring = _ring(args)
     pairs = density.type_counts_sorted(args.n, ring, args.ell)
     header = [f"k_{i + 1}" for i in range(ring.s)] + ["count"]
@@ -232,10 +206,8 @@ def cmd_density(args) -> tuple[int, str]:
     return 0, _emit(args, {"rows": payload_rows}, lines, csv_rows)
 
 
-# ---------------------------------------------------------------- oracle
-
-
-def cmd_oracle(args) -> tuple[int, str]:
+def _oracle(args, verify: bool = False) -> tuple[int, str]:
+    """The census against the formulas; ``verify`` adds the total and a verdict."""
     ring = _concrete(args)
     census, rows, ok = simulate.verify_census(ring, args.n)
     header = [f"k_{i + 1}" for i in range(ring.s)] + ["count", "exact_formula", "match"]
@@ -252,36 +224,31 @@ def cmd_oracle(args) -> tuple[int, str]:
             f"{'ok' if match else 'MISMATCH'}"
         )
     payload = {"rows": payload_rows, "total": census.total, "all_match": ok}
-    if args.subject == "verify":
-        lines.append(f"total {census.total}")
-        lines.append("PASS" if ok else "FAIL")
-        return (0 if ok else 1), _emit(args, payload, lines, csv_rows)
-    return 0, _emit(args, payload, lines, csv_rows)
+    if not verify:
+        return 0, _emit(args, payload, lines, csv_rows)
+    lines += [f"total {census.total}", "PASS" if ok else "FAIL"]
+    return (0 if ok else 1), _emit(args, payload, lines, csv_rows)
 
 
-# ---------------------------------------------------------------- code
-
-
-def cmd_code(args) -> tuple[int, str]:
-    subject = args.subject
+def _ball(args) -> tuple[int, str]:
     model = _model(args)
-    if subject == "ball":
-        value = coding_mod.ball_volume(args.n, _parse_fraction(args.w), model, closed=args.closed)
-        text = render.render_integer(value)
-        return 0, _emit(args, {"volume": text}, [text])
-    if subject == "gv":
-        value = coding_mod.gv_lower_bound(args.n, _parse_fraction(args.d), model)
-        text = _ratio_text(value, args.precision)
-        return 0, _emit(args, _ratio_payload(value, args.precision), [text])
-    if subject == "entropy":
-        value = coding_mod.entropy_estimate(args.n, args.delta, model)
-        payload = _approx_payload(value)
-        if model.kind == coding_mod.HAMMING:
-            payload["closed_form"] = coding_mod.q_ary_entropy(model.ring.modulus, args.delta)
-        return 0, _emit(args, payload, [f"{value.value:.6f}"])
-    # gv-experiment
+    value = coding_mod.ball_volume(args.n, _parse_fraction(args.w), model, closed=args.closed)
+    text = render.render_integer(value)
+    return 0, _emit(args, {"volume": text}, [text])
+
+
+def _entropy(args) -> tuple[int, str]:
+    model = _model(args)
+    value = coding_mod.entropy_estimate(args.n, args.delta, model)
+    payload = _approx_payload(value)
+    if model.kind == coding_mod.HAMMING:
+        payload["closed_form"] = coding_mod.q_ary_entropy(model.ring.modulus, args.delta)
+    return 0, _emit(args, payload, [f"{value.value:.6f}"])
+
+
+def _gv_experiment(args) -> tuple[int, str]:
     report = coding_mod.gv_random_experiment(
-        args.n, args.delta, args.eps, model, args.trials, args.seed, jobs=args.threads
+        args.n, args.delta, args.eps, _model(args), args.trials, args.seed, jobs=args.threads
     )
     payload = {
         "params": {
@@ -323,17 +290,70 @@ def cmd_code(args) -> tuple[int, str]:
     return (0 if report.passed else 1), _emit(args, payload, lines, csv_rows)
 
 
-# ---------------------------------------------------------------- parser
+# ---------------------------------------------------------------- command table
 
+# option name -> (flag, add_argument keywords)
+OPTIONS = {
+    "format": ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    "precision": ("--precision", {"type": int, "default": 6}),
+    **{
+        name: (f"--{name}", {"type": int, "required": True})
+        for name in ("n", "m", "q", "s", "p", "K", "k", "ell", "trials", "seed")
+    },
+    "s=1": ("--s", {"type": int, "default": 1}),  # prob unimodular: a field unless given
+    **{
+        name: (f"--{name}", {"type": str, "required": True})
+        for name in ("type", "shape", "rprime", "n-list", "w", "d")
+    },
+    **{name: (f"--{name}", {"type": float, "required": True}) for name in ("delta", "eps")},
+    "metric": ("--metric", {"choices": coding_mod.KINDS, "required": True}),
+    "closed": ("--closed", {"action": "store_true"}),
+    "threads": ("--threads", {"type": int, "default": 1}),
+}
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--precision", type=int, default=6)
+GROUPS = {
+    "count": "exact submodule and matrix counts",
+    "prob": "exact probabilities",
+    "density": "asymptotic free-module densities",
+    "oracle": "exhaustive submodule censuses",
+    "code": "weights, ball volumes and GV experiments",
+}
+
+# (group, subject, options after --format and --precision, handler)
+COMMANDS = (
+    ("count", "free", "n q s K", _count(lambda a: modcount.count_free(a.n, _ring(a), a.K))),
+    ("count", "type", "n q s type",
+     _count(lambda a: modcount.count_by_type(a.n, _ring(a), _parse_ints(a.type)))),
+    ("count", "shape", "n q s shape",
+     _count(lambda a: modcount.count_by_shape(a.n, _ring(a), _parse_ints(a.shape)))),
+    ("count", "length", "n q s ell", _count(lambda a: modcount.total_by_length(a.n, _ring(a), a.ell))),
+    ("count", "rank", "n q s K", _count(lambda a: modcount.total_by_rank(a.n, _ring(a), a.K))),
+    ("count", "matrix", "n q s type m",
+     _count(lambda a: modcount.matrix_count_by_type(a.m, a.n, _ring(a), _parse_ints(a.type)))),
+    ("prob", "free-length", "n q s ell",
+     _ratio(lambda a: modcount.free_fraction_by_length(a.n, _ring(a), a.ell))),
+    ("prob", "free-rank", "n q s K",
+     _ratio(lambda a: modcount.free_fraction_by_rank(a.n, _ring(a), a.K))),
+    ("prob", "unimodular", "n q s=1 k",
+     _ratio(lambda a: modcount.unimodular_probability(a.k, a.n, _ring(a)))),
+    ("density", "limit", "q s", _certified(lambda a: density.limit_free_density(_ring(a)))),
+    ("density", "bounds", "q s", _bounds),
+    ("density", "s2-closed", "q", _certified(lambda a: density.depth_two_density(a.q))),
+    ("density", "table1", "", _table1),
+    ("density", "rank-trend", "q s rprime n-list", _rank_trend),
+    ("density", "order-explore", "n q s ell", _order_explore),
+    ("oracle", "enumerate", "p s n", _oracle),
+    ("oracle", "verify", "p s n", partial(_oracle, verify=True)),
+    ("code", "ball", "metric p s n w closed", _ball),
+    ("code", "gv", "metric p s n d", _ratio(_gv)),
+    ("code", "entropy", "metric p s n delta", _entropy),
+    ("code", "gv-experiment", "metric p s n delta eps trials seed threads", _gv_experiment),
+)
 
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process from ``COMMANDS``.
 
     Parsing does not change an argparse parser, and every parse fills a
     fresh Namespace, so calls of ``run`` cannot see each other's arguments.
@@ -344,101 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"chainring {__version__}")
     top = parser.add_subparsers(dest="group", required=True)
-
-    count = top.add_parser("count", help="exact submodule and matrix counts")
-    count_sub = count.add_subparsers(dest="subject", required=True)
-    for subject in ("free", "type", "shape", "length", "rank", "matrix"):
-        sub = count_sub.add_parser(subject)
-        _add_common(sub)
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--q", type=int, required=True)
-        sub.add_argument("--s", type=int, required=True)
-        if subject in ("free", "rank"):
-            sub.add_argument("--K", type=int, required=True)
-        if subject == "length":
-            sub.add_argument("--ell", type=int, required=True)
-        if subject in ("type", "matrix"):
-            sub.add_argument("--type", type=str, required=True)
-        if subject == "shape":
-            sub.add_argument("--shape", type=str, required=True)
-        if subject == "matrix":
-            sub.add_argument("--m", type=int, required=True)
-        sub.set_defaults(func=cmd_count, command_path=f"count {subject}")
-
-    prob = top.add_parser("prob", help="exact probabilities")
-    prob_sub = prob.add_subparsers(dest="subject", required=True)
-    for subject in ("free-length", "free-rank", "unimodular"):
-        sub = prob_sub.add_parser(subject)
-        _add_common(sub)
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--q", type=int, required=True)
-        if subject == "free-length":
-            sub.add_argument("--s", type=int, required=True)
-            sub.add_argument("--ell", type=int, required=True)
-        elif subject == "free-rank":
-            sub.add_argument("--s", type=int, required=True)
-            sub.add_argument("--K", type=int, required=True)
-        else:
-            sub.add_argument("--s", type=int, default=1)
-            sub.add_argument("--k", type=int, required=True)
-        sub.set_defaults(func=cmd_prob, command_path=f"prob {subject}")
-
-    dens = top.add_parser("density", help="asymptotic free-module densities")
-    dens_sub = dens.add_subparsers(dest="subject", required=True)
-    for subject in ("limit", "bounds", "s2-closed", "table1", "rank-trend", "order-explore"):
-        sub = dens_sub.add_parser(subject)
-        _add_common(sub)
-        if subject in ("limit", "bounds"):
-            sub.add_argument("--q", type=int, required=True)
-            sub.add_argument("--s", type=int, required=True)
-        elif subject == "s2-closed":
-            sub.add_argument("--q", type=int, required=True)
-        elif subject == "rank-trend":
-            sub.add_argument("--q", type=int, required=True)
-            sub.add_argument("--s", type=int, required=True)
-            sub.add_argument("--rprime", type=str, required=True)
-            sub.add_argument("--n-list", dest="n_list", type=str, required=True)
-        elif subject == "order-explore":
-            sub.add_argument("--n", type=int, required=True)
-            sub.add_argument("--q", type=int, required=True)
-            sub.add_argument("--s", type=int, required=True)
-            sub.add_argument("--ell", type=int, required=True)
-        sub.set_defaults(func=cmd_density, command_path=f"density {subject}")
-
-    oracle = top.add_parser("oracle", help="exhaustive submodule censuses")
-    oracle_sub = oracle.add_subparsers(dest="subject", required=True)
-    for subject in ("enumerate", "verify"):
-        sub = oracle_sub.add_parser(subject)
-        _add_common(sub)
-        sub.add_argument("--p", type=int, required=True)
-        sub.add_argument("--s", type=int, required=True)
-        sub.add_argument("--n", type=int, required=True)
-        sub.set_defaults(func=cmd_oracle, command_path=f"oracle {subject}")
-
-    code = top.add_parser("code", help="weights, ball volumes and GV experiments")
-    code_sub = code.add_subparsers(dest="subject", required=True)
-    for subject in ("ball", "gv", "entropy", "gv-experiment"):
-        sub = code_sub.add_parser(subject)
-        _add_common(sub)
-        sub.add_argument("--metric", choices=coding_mod.KINDS, required=True)
-        sub.add_argument("--p", type=int, required=True)
-        sub.add_argument("--s", type=int, required=True)
-        sub.add_argument("--n", type=int, required=True)
-        if subject == "ball":
-            sub.add_argument("--w", type=str, required=True)
-            sub.add_argument("--closed", action="store_true")
-        elif subject == "gv":
-            sub.add_argument("--d", type=str, required=True)
-        elif subject == "entropy":
-            sub.add_argument("--delta", type=float, required=True)
-        else:
-            sub.add_argument("--delta", type=float, required=True)
-            sub.add_argument("--eps", type=float, required=True)
-            sub.add_argument("--trials", type=int, required=True)
-            sub.add_argument("--seed", type=int, required=True)
-            sub.add_argument("--threads", type=int, default=1)
-        sub.set_defaults(func=cmd_code, command_path=f"code {subject}")
-
+    subjects = {
+        group: top.add_parser(group, help=text).add_subparsers(dest="subject", required=True)
+        for group, text in GROUPS.items()
+    }
+    for group, subject, options, handler in COMMANDS:
+        sub = subjects[group].add_parser(subject)
+        for name in ("format", "precision", *options.split()):
+            flag, spec = OPTIONS[name]
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(func=handler, command_path=f"{group} {subject}")
     return parser
 
 

@@ -204,7 +204,7 @@ def entropy_estimate(n: int, delta: float, model: WeightModel) -> ApproxReal:
     return ApproxReal(value, abs(value) * 1e-13 + 5e-324)
 
 
-def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = MIN_DISTANCE_BUDGET):
+def min_distance_exhaustive(mat: RingMatrix, model: WeightModel):
     """Minimum weight over nonzero codewords x G, by full enumeration.
 
     Coefficient vectors x with x G = 0 are skipped; the zero code gets the
@@ -221,8 +221,8 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel, budget: int = M
         raise ParameterError(f"matrix ring {mat.ring} does not match weight model ring {model.ring}")
     mod = mat.ring.modulus
     k = mat.nrows
-    if mod ** k > budget:
-        raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {budget}")
+    if mod ** k > MIN_DISTANCE_BUDGET:
+        raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {MIN_DISTANCE_BUDGET}")
     top = k * (mod - 1) ** 2
     packs = top < _TABLE_SIZE
     radix, g = (top + 1 if packs else mod), 1

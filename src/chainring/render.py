@@ -8,24 +8,61 @@ value is never touched: rendering is presentation only.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .errors import ParameterError
 
 SCI_BELOW = Fraction(1, 10_000)
+SCI_DIGITS = 3  # significant digits of values below SCI_BELOW
 
 
 def render_integer(value: int) -> str:
     """Decimal digits of an exact integer of any length.
 
     ``str`` refuses integers beyond the interpreter's int-to-str digit limit;
-    ``decimal`` converts them exactly and leaves that process-wide limit alone.
+    past it the digits come from ``_to_decimal``, in subquadratic time, and
+    that process-wide limit is left alone.
     """
     try:
         return str(value)
     except ValueError:
-        return str(Decimal(value))
+        return str(_to_decimal(value))
+
+
+# below this many bits Decimal(int) is fast; above it the halves are converted apart
+_SPLIT_BITS = 1024
+
+
+def _to_decimal(value: int) -> Decimal:
+    """``value`` as an exact Decimal, in subquadratic time.
+
+    Splits the binary digits in half, value = hi * 2^w + lo, converts both
+    halves recursively and joins them with one Decimal product; libmpdec
+    multiplies long operands by a number-theoretic transform.  The powers
+    2^w are kept for the call, since the splits of one level share them.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            half = w // 2
+            powers[w] = Decimal(2) ** w if w <= _SPLIT_BITS else power(half) * power(w - half)
+        return powers[w]
+
+    def convert(n: int, bits: int) -> Decimal:
+        if bits <= _SPLIT_BITS:
+            return Decimal(n)
+        w = bits // 2
+        hi = n >> w
+        return convert(hi, bits - w) * power(w) + convert(n - (hi << w), w)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True  # every step is exact at MAX_PREC; never round silently
+        digits = convert(abs(value), abs(value).bit_length())
+        return -digits if value < 0 else digits
 
 
 def render_scientific(x: Fraction, sig: int = 3) -> str:
@@ -49,12 +86,7 @@ def render_scientific(x: Fraction, sig: int = 3) -> str:
     return f"{body}e{exponent}" if exponent < 0 else f"{body}e+{exponent}"
 
 
-def render_ratio(
-    x,
-    digits: int = 6,
-    hybrid_below: Fraction | None = None,
-    sci_digits: int = 3,
-) -> str:
+def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> str:
     """Render an exact nonnegative rational (or float) at fixed precision.
 
     ``hybrid_below`` controls when a value just under 1 is shown as
@@ -73,7 +105,7 @@ def render_ratio(
     if x == 1:
         return "1." + "0" * digits
     if x < SCI_BELOW:
-        return render_scientific(x, sci_digits)
+        return render_scientific(x, SCI_DIGITS)
     complement = 1 - x
     if 0 < complement < hybrid_below:
         return "1-" + render_scientific(complement, 2)

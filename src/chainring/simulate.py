@@ -167,12 +167,12 @@ def _all_vectors(mod: int, m: int) -> np.ndarray:
     return out
 
 
-def row_span(mat: RingMatrix, budget: int = SPAN_BUDGET) -> set[tuple[int, ...]]:
+def row_span(mat: RingMatrix) -> set[tuple[int, ...]]:
     """The exact set {x M : x in R^m}; size is p^length(type)."""
     mod = mat.ring.modulus
     m = mat.nrows
-    if mod ** m > budget:
-        raise BudgetExceededError(f"{mod}^{m} coefficient vectors exceed budget {budget}")
+    if mod ** m > SPAN_BUDGET:
+        raise BudgetExceededError(f"{mod}^{m} coefficient vectors exceed budget {SPAN_BUDGET}")
     coeffs = _all_vectors(mod, m)
     products = coeffs @ mat.to_array() % mod
     return set(map(tuple, products.tolist()))
@@ -189,7 +189,7 @@ class TypeCensus:
         return sorted(self.counts.items())
 
 
-def enumerate_submodules(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET) -> TypeCensus:
+def enumerate_submodules(ring: ConcreteRing, n: int) -> TypeCensus:
     """Exhaustive census of all submodules of R^n, classified by type.
 
     Builds the spans of all n x n generator matrices one generator at a time,
@@ -199,16 +199,14 @@ def enumerate_submodules(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET
     matrix.  Each candidate span is materialised in full, x M for all
     (p^s)^j coefficient vectors x, and keyed by its membership bitset over
     R^n, which is the set itself; one ``np.unique`` per chunk dedupes the
-    keys.  ``budget`` bounds the (p^s)^(n*n) generator matrices the census
+    keys.  ``CENSUS_BUDGET`` bounds the (p^s)^(n*n) generator matrices the census
     stands for, ``CENSUS_WORK_BUDGET`` the span entries of each level.
     """
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
     mod = ring.modulus
-    if mod ** (n * n) > budget:
-        raise BudgetExceededError(
-            f"{mod}^{n * n} generator matrices exceed budget {budget}"
-        )
+    if mod ** (n * n) > CENSUS_BUDGET:
+        raise BudgetExceededError(f"{mod}^{n * n} generator matrices exceed budget {CENSUS_BUDGET}")
 
     def check(level: int, spans: int) -> None:
         if spans * mod ** n * mod ** level > CENSUS_WORK_BUDGET:
@@ -266,12 +264,12 @@ def _next_level(reps: np.ndarray, mod: int) -> np.ndarray:
     return np.concatenate(firsts)[first]
 
 
-def verify_census(ring: ConcreteRing, n: int, budget: int = CENSUS_BUDGET):
+def verify_census(ring: ConcreteRing, n: int):
     """Compare the exhaustive census against the counting formulas, per type.
 
     Returns (census, rows, ok); each row is (type, counted, formula, match).
     """
-    census = enumerate_submodules(ring, n, budget)
+    census = enumerate_submodules(ring, n)
     spec = ring.spec()
     all_types = sorted(census.counts)
     rows = []
@@ -328,14 +326,15 @@ def monte_carlo_type_distribution(
 _MATRIX_COUNT_POINTS = ((1, 2, 2, 2), (2, 2, 2, 2), (1, 1, 2, 3))
 
 
-def validate_matrix_count_interpretation(points=_MATRIX_COUNT_POINTS):
+def validate_matrix_count_interpretation():
     """Exhaustively check the matrix-count formula at small parameter points.
 
-    Enumerates every m x n matrix over Z/p^s, tallies types, and compares with
+    Enumerates every m x n matrix over Z/p^s at each (m, n, p, s) of
+    ``_MATRIX_COUNT_POINTS``, tallies types, and compares with
     ``modcount.matrix_count_by_type``.  Raises VerificationError on any
-    mismatch so a misread formula can never ship quietly.
+    mismatch so a misread formula can never ship quietly.  Returns the points.
     """
-    for m, n, p, s in points:
+    for m, n, p, s in _MATRIX_COUNT_POINTS:
         ring = ConcreteRing(p=p, s=s)
         spec = ring.spec()
         mod = ring.modulus
@@ -349,4 +348,4 @@ def validate_matrix_count_interpretation(points=_MATRIX_COUNT_POINTS):
                 )
         if sum(tallies.values()) != mod ** (m * n):
             raise VerificationError("matrix tally does not cover the full space")
-    return points
+    return _MATRIX_COUNT_POINTS

@@ -229,3 +229,19 @@ def chain_dp_limit_density(q: int, s: int) -> tuple[float, float]:
     error = tail + u * ((s - 1) * (2 * cap + 8) * total + (abs(math.log(x)) + 1) * moment[:, ::s].sum())
     density = 1.0 / total
     return density, error / (total * (total - error)) + u * density
+
+
+def leading_digits(value: int, k: int) -> str:
+    """The first k decimal digits of a positive integer, from a 40-digit logarithm."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return str(int(mpmath.floor(mpmath.power(10, mpmath.frac(mpmath.log10(mpmath.mpf(value))) + k - 1))))
+
+
+def decimal_length(value: int) -> int:
+    """Number of decimal digits of a positive integer, from a 40-digit logarithm."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return int(mpmath.floor(mpmath.log10(mpmath.mpf(value)))) + 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import chainring
-from chainring import cli, simulate
-from chainring.modcount import ChainRingSpec, free_fraction_by_rank, total_by_rank
+from chainring import cli, density, simulate
+from chainring.modcount import ChainRingSpec, free_fraction_by_rank, matrix_count_by_type, total_by_rank
 
-from helpers import chain_dp_limit_density
+from helpers import chain_dp_limit_density, decimal_length, leading_digits
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,8 +60,8 @@ class TestExitCodes:
     def test_verification_fail_exit_1(self, capsys, monkeypatch):
         real = simulate.verify_census
 
-        def broken(ring, n, budget=simulate.CENSUS_BUDGET):
-            census, rows, _ = real(ring, n, budget)
+        def broken(ring, n):
+            census, rows, _ = real(ring, n)
             return census, rows, False
 
         monkeypatch.setattr(cli.simulate, "verify_census", broken)
@@ -76,6 +77,31 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "max_index=3" in err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            ("density limit --q 3 --s 30", "max_index=512"),
+            ("density limit --q 2 --s 34", "max_index=512"),
+            ("density bounds --q 3 --s 30", "3^-870 underflows"),
+            ("density bounds --q 2 --s 34", "2^-1122 underflows"),
+        ],
+    )
+    def test_uncertifiable_density_exits_2_at_once(self, capsys, monkeypatch, argv, named):
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, argv.split())
+        assert time.perf_counter() - start < 1.0
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    def test_multi_sum_over_budget_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(density, "WALK_BUDGET", 1000)
+        for subject in ("limit", "bounds"):
+            status, out, err = run_cli(capsys, ["density", subject, "--q", "2", "--s", "6"])
+            assert (status, out) == (3, "")
+            assert err.startswith("error: multi-sum walk") and err.count("\n") == 1
+            assert "budget of 1000 steps" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -162,6 +188,17 @@ class TestCountAndProb:
         status, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert status == 0
         assert json.loads(out)["result"]["count"] + "\n" == text
+
+    def test_millions_of_digits_print_fast(self, capsys):
+        # 1,431,365 digits; the count itself takes under a second
+        argv = ["count", "matrix", "--m", "1000000", "--n", "2", "--q", "3", "--s", "2", "--type", "1,1"]
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 5.0
+        assert (status, err) == (0, "")
+        expected = matrix_count_by_type(1000000, 2, ChainRingSpec(q=3, s=2), (1, 1))
+        assert len(out) - 1 == decimal_length(expected) == 1431365
+        assert out[:10] == leading_digits(expected, 10) and int(out[-19:]) == expected % 10 ** 18
 
     def test_long_ratio_prints_in_full(self, capsys):
         argv = ["prob", "free-rank", "--n", "300", "--q", "2", "--s", "2", "--K", "100"]
@@ -317,6 +354,44 @@ class TestParserReuse:
         assert version.value.code == 0
         assert capsys.readouterr().out == f"chainring {chainring.__version__}\n"
         assert cli.build_parser() is cli.build_parser()
+
+
+# every subcommand, listed by hand so that a subcommand the parser loses fails here
+SUBCOMMANDS = [
+    ("count", "free"), ("count", "type"), ("count", "shape"), ("count", "length"),
+    ("count", "rank"), ("count", "matrix"),
+    ("prob", "free-length"), ("prob", "free-rank"), ("prob", "unimodular"),
+    ("density", "limit"), ("density", "bounds"), ("density", "s2-closed"),
+    ("density", "table1"), ("density", "rank-trend"), ("density", "order-explore"),
+    ("oracle", "enumerate"), ("oracle", "verify"),
+    ("code", "ball"), ("code", "gv"), ("code", "entropy"), ("code", "gv-experiment"),
+]
+PARSERS = [(), ("count",), ("prob",), ("density",), ("oracle",), ("code",), *SUBCOMMANDS]
+SURFACE = json.loads((GOLDEN / "cli_surface.json").read_text(encoding="utf-8"))
+
+
+class TestSurfacePinned:
+    """Help texts and one JSON call per subcommand, recorded before the command table."""
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout recorded with Python 3.11 argparse")
+    @pytest.mark.parametrize("path", PARSERS, ids=" ".join)
+    def test_help_text(self, capsys, monkeypatch, path):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            cli.run([*path, "--help"])
+        captured = capsys.readouterr()
+        assert (done.value.code, captured.err) == (0, "")
+        digest = hashlib.sha256(captured.out.encode()).hexdigest()
+        assert digest == SURFACE["help_sha256"][" ".join(path)]
+
+    @pytest.mark.parametrize("group,subject", SUBCOMMANDS)
+    def test_json_output(self, capsys, monkeypatch, group, subject):
+        # the params echo carries every default value
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        monkeypatch.delenv("CHAINRING_TARGET_TAIL", raising=False)
+        pinned = SURFACE["json"][f"{group} {subject}"]
+        argv = [group, subject, *pinned["argv"], "--format", "json"]
+        assert run_cli(capsys, argv) == (0, pinned["stdout"], "")
 
 
 class TestDeterminism:

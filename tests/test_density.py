@@ -20,7 +20,7 @@ from chainring.density import (
     table2_rows,
     type_counts_sorted,
 )
-from chainring.errors import NonconvergentError, ParameterError, VerificationError
+from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError, VerificationError
 from chainring.modcount import ChainRingSpec, count_by_type, free_fraction_by_length
 from chainring.qseries import euler_function
 from chainring.render import render_ratio
@@ -102,6 +102,24 @@ class TestLimitDensity:
         with pytest.raises(NonconvergentError, match="max_index=3"):
             density_bounds(ChainRingSpec(q=2, s=4), TruncationPolicy(max_index=3))
 
+    def test_infinite_tail_raises_before_the_walk(self, monkeypatch):
+        # at x = 1/2, s = 6 no cap <= 3 brings the tail ratio below 1
+        def forbidden(*args, **kwargs):
+            raise AssertionError("walked a series whose tail no cap bounds")
+
+        monkeypatch.setattr(density, "_pruned_terms", forbidden)
+        with pytest.raises(NonconvergentError, match="max_index=3"):
+            andrews_gordon_series(0.5, 6, TruncationPolicy(max_index=3))
+        with pytest.raises(NonconvergentError, match="max_index=512"):
+            limit_free_density(ChainRingSpec(q=3, s=30))
+
+    @pytest.mark.parametrize("q,s,exponent", [(3, 30, 870), (2, 34, 1122)])
+    def test_underflowing_upper_base_named(self, monkeypatch, q, s, exponent):
+        monkeypatch.setattr(density, "andrews_gordon_series", None)  # checked before any series
+        with pytest.raises(ParameterError, match=rf"q = {q}, s = {s}") as err:
+            density_bounds(ChainRingSpec(q=q, s=s))
+        assert f"{q}^-{exponent} underflows" in str(err.value)
+
     def test_error_honesty_under_larger_cap(self):
         for q, s in [(2, 2), (2, 4), (3, 3)]:
             ring = ChainRingSpec(q=q, s=s)
@@ -165,10 +183,10 @@ def record_walks(monkeypatch):
     real = density._pruned_terms
     walks = []
 
-    def spy(*args):
-        terms, cut = real(*args)
+    def spy(*args, **kwargs):
+        terms, cut, steps = real(*args, **kwargs)
         walks.append((args, terms, cut))
-        return terms, cut
+        return terms, cut, steps
 
     monkeypatch.setattr(density, "_pruned_terms", spy)
     return real, walks
@@ -193,7 +211,7 @@ class TestPrunedWalk:
         real, walks = record_walks(monkeypatch)
         evaluate(kind, x, s, self.POLICY)
         [((_, cap, poch, log_x, congruence, e_max), kept, _)] = walks
-        full, cut = real(s, cap, poch, log_x, congruence, math.inf)
+        full, cut, _ = real(s, cap, poch, log_x, congruence, math.inf)
         assert not cut and math.fsum(full) == math.fsum(kept)
         assert Counter(kept) <= Counter(full)
         dropped = math.fsum(full + [-term for term in kept])
@@ -220,6 +238,28 @@ class TestPrunedWalk:
         limits = [args[-1] for args, _, _ in walks]
         assert len(limits) >= 2 and walks[0][2]
         assert limits[1:] == [2 * e for e in limits[:-1]]
+
+    def test_walk_budget_spans_the_doublings(self, monkeypatch):
+        monkeypatch.setattr(density, "_PRUNED_MASS", 2.0 ** 40)  # the first walks fail the sign test
+        real = density._pruned_terms
+        totals = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            totals.append(result[2])
+            return result
+
+        monkeypatch.setattr(density, "_pruned_terms", spy)
+        expected = evaluate("series", 0.5, 5, self.POLICY)
+        walks = [b - a for a, b in zip([0] + totals, totals)]
+        assert len(walks) >= 2 and min(walks) > 0
+        monkeypatch.setattr(density, "WALK_BUDGET", totals[-1])
+        assert evaluate("series", 0.5, 5, self.POLICY) == expected
+        # every walk alone fits, all of them together do not
+        monkeypatch.setattr(density, "WALK_BUDGET", totals[-1] - 1)
+        assert max(walks) <= density.WALK_BUDGET
+        with pytest.raises(BudgetExceededError, match=f"budget of {totals[-1] - 1} steps"):
+            evaluate("series", 0.5, 5, self.POLICY)
 
 
 class TestLargeDepth:

@@ -1,8 +1,13 @@
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from chainring.render import render_ratio, render_scientific
+from chainring.render import render_integer, render_ratio, render_scientific
+
+from helpers import decimal_length, leading_digits
 
 
 class TestScientific:
@@ -55,3 +60,28 @@ class TestRatio:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             render_ratio(Fraction(-1, 2), 6)
+
+
+class TestInteger:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, -1, 10 ** 4298, 10 ** 4299 - 1, 10 ** 4299, 10 ** 4300 - 1, 10 ** 4300, 10 ** 4301 - 1,
+         10 ** 4301, -(10 ** 4300), 2 ** 4096, 2 ** 20000 - 1, 7 ** 118000, -(3 ** 210000) + 1,
+         10 ** 100000, 10 ** 100000 - 1],
+        ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}-bits",
+    )
+    def test_equals_the_direct_conversion(self, value):
+        assert render_integer(value) == str(Decimal(value))
+
+    def test_digit_limit_left_alone(self):
+        limit = sys.get_int_max_str_digits()
+        render_integer(10 ** 9000)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_subquadratic(self):
+        value = 3 ** (3 * 10 ** 6)  # 1,431,364 digits; the direct conversion takes about 36 s
+        start = time.perf_counter()
+        text = render_integer(value)
+        assert time.perf_counter() - start < 3.0
+        assert len(text) == decimal_length(value) == 1431364
+        assert text[:10] == leading_digits(value, 10) and int(text[-18:]) == value % 10 ** 18
