@@ -23,6 +23,7 @@ import numpy as np
 from .approx import ApproxReal
 from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
+from .qseries import _exact_product
 from .simulate import ConcreteRing, RingMatrix, _all_vectors, _types, sample_matrix
 
 HAMMING = "hamming"
@@ -119,14 +120,16 @@ def ball_profile(n: int, model: WeightModel) -> BallProfile:
     h(z) is the symbol histogram, sum_x z^(int_weights[x]).  Its n-th power
     is one big-integer power (Kronecker substitution): every coefficient of
     h(z)^n is at most h(1)^n = (p^s)^n, so slots of bytes wide enough for
-    (p^s)^n never carry into each other.
+    (p^s)^n never carry into each other.  The power is charged to
+    ``qseries.TOTAL_BUDGET`` like any exact power; over it,
+    BudgetExceededError is raised.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
     slot = -(-(model.ring.modulus ** n).bit_length() // 8)
     packed = sum(1 << (8 * slot * w) for w in model.int_weights)
     width = max(model.int_weights) * n + 1
-    data = (packed ** n).to_bytes(slot * width, "little")
+    data = _exact_product(packed, [], n).to_bytes(slot * width, "little")
     counts = (int.from_bytes(data[i : i + slot], "little") for i in range(0, len(data), slot))
     return BallProfile(n=n, scale=model.scale, cumulative=tuple(itertools.accumulate(counts)))
 

@@ -28,10 +28,10 @@ above.  For s = 2 there is also a closed form in half-base Pochhammer symbols.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
 from .errors import BudgetExceededError, NonconvergentError, ParameterError
@@ -48,6 +48,9 @@ _EPS = 2.0 ** -52
 _PRUNED_MASS = 2.0 ** -80
 # loop steps of all the multi-sum walks of one evaluation, about 9 s at 1.8M steps/s
 WALK_BUDGET = 1 << 24
+# types one order-explore list may count; at n = 100, q = 2, s = 5 the CLI
+# lists 46,262 types in 6.5-10 s, and each type costs more at larger n or q
+TYPE_LIST_LIMIT = 50_000
 
 
 def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
@@ -352,9 +355,17 @@ def type_counts_sorted(n: int, ring: ChainRingSpec, ell: int) -> list[tuple[tupl
     """All types of length ell with exact counts, most frequent first.
 
     Ties are broken by ascending lexicographic order on the type, so the
-    output is byte-stable.
+    output is byte-stable.  More than TYPE_LIST_LIMIT types raise
+    BudgetExceededError before any is counted.
     """
-    pairs = [(t, count_by_type(n, ring, t)) for t in types_of_length(ring.s, n, ell)]
+    if n < 0:
+        raise ParameterError(f"n must be nonnegative, got {n}")
+    types = list(itertools.islice(types_of_length(ring.s, n, ell), TYPE_LIST_LIMIT + 1))
+    if len(types) > TYPE_LIST_LIMIT:
+        raise BudgetExceededError(
+            f"length {ell} in R^{n} has more than {TYPE_LIST_LIMIT} types, over the type-list budget"
+        )
+    pairs = [(t, count_by_type(n, ring, t)) for t in types]
     pairs.sort(key=lambda item: (-item[1], item[0]))
     return pairs
 
@@ -374,7 +385,6 @@ TABLE2_GRID = (
 )
 
 
-@lru_cache(maxsize=16)
 def table1_rows(policy: TruncationPolicy | None = None) -> tuple[tuple[int, int, DensityResult], ...]:
     """Density sandwich for the standard grid s in {2,3,4} x q in {2,3,5,7,11}."""
     return tuple((s, q, density_bounds(ChainRingSpec(q=q, s=s), policy)) for s, q in TABLE1_GRID)

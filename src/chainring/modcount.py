@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import ParameterError
-from .qseries import _chain_sum, _check_count_budget, gaussian_binomial, pochhammer_finite, q_multinomial
+from .qseries import _chain_sum, _exact_product, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -109,15 +109,10 @@ def count_by_shape(n: int, ring: ChainRingSpec, shape: Shape) -> int:
         raise ParameterError(f"shape must have {ring.s} entries, got {len(shape)}")
     if shape and shape[0] > n:
         raise ParameterError(f"shape exceeds the ambient rank: mu_1 = {shape[0]} > n = {n}")
-    q = ring.q
     ext = tuple(shape) + (0,)
     binomials = [(n - ext[i + 1], ext[i] - ext[i + 1]) for i in range(ring.s)]
     exponent = sum((n - ext[i]) * ext[i + 1] for i in range(ring.s))
-    _check_count_budget(q, binomials, exponent)
-    result = q ** exponent
-    for m, k in binomials:
-        result *= gaussian_binomial(m, k, q)
-    return result
+    return _exact_product(ring.q, binomials, exponent)
 
 
 @lru_cache(maxsize=4096)
@@ -132,13 +127,7 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
     _check_type(mtype, ring.s)
     if rank_of(mtype) > n:
         raise ParameterError(f"rank {rank_of(mtype)} exceeds ambient rank {n}")
-    q = ring.q
-    binomials, exponent = _type_factors(n, mtype)
-    _check_count_budget(q, binomials, exponent)
-    result = 1
-    for m, k in binomials:
-        result *= gaussian_binomial(m, k, q)
-    return result * q ** exponent
+    return _exact_product(ring.q, *_type_factors(n, mtype))
 
 
 def _type_factors(n: int, mtype: Type) -> tuple[list[tuple[int, int]], int]:
@@ -161,10 +150,7 @@ def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
     """
     if not 0 <= rank <= n:
         raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
-    q = ring.q
-    exponent = (n - rank) * rank * (ring.s - 1)
-    _check_count_budget(q, [(n, rank)], exponent)
-    return q ** exponent * gaussian_binomial(n, rank, q)
+    return _exact_product(ring.q, [(n, rank)], (n - rank) * rank * (ring.s - 1))
 
 
 def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:
@@ -255,24 +241,19 @@ def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> in
     K = rank the surjection count is q^((ell - K) m) * prod_{i<K} (q^m - q^i).
     The scalar factor is therefore q^(m ell) (1/q)_m / (1/q)_{m-K}; the test
     suite checks this reading against exhaustive enumeration
-    (``simulate.validate_matrix_count_interpretation``).  The surjection
-    count is below q^(ell m) and joins K more factors to the product, and
-    is charged so, with the submodule count, to ``qseries.TOTAL_BUDGET``
-    before any big-integer work; over it, BudgetExceededError is raised.
+    (``simulate.validate_matrix_count_interpretation``).  Since
+    prod_{i<K} (q^m - q^i) = q^(K (K-1)/2) prod_{m-K<i<=m} (q^i - 1), the
+    whole count is one ``qseries._exact_product``, charged to
+    ``qseries.TOTAL_BUDGET`` before any big-integer work; over it,
+    BudgetExceededError is raised.
     """
     _check_type(mtype, ring.s)
-    if rank_of(mtype) > min(m, n):
-        raise ParameterError(f"rank {rank_of(mtype)} exceeds min(m, n) = {min(m, n)}")
-    q = ring.q
     rank = rank_of(mtype)
-    length = length_of(mtype)
+    if rank > min(m, n):
+        raise ParameterError(f"rank {rank} exceeds min(m, n) = {min(m, n)}")
     binomials, exponent = _type_factors(n, mtype)
-    _check_count_budget(q, binomials, exponent + length * m, factors=rank)
-    q_m = q ** m
-    surjections = q ** ((length - rank) * m)
-    for i in range(rank):
-        surjections *= q_m - q ** i
-    return count_by_type(n, ring, mtype) * surjections
+    exponent += (length_of(mtype) - rank) * m + rank * (rank - 1) // 2
+    return _exact_product(ring.q, binomials, exponent, [(m - rank, m)])
 
 
 def unimodular_probability(k: int, n: int, ring: ChainRingSpec) -> Fraction:
@@ -284,5 +265,5 @@ def unimodular_probability(k: int, n: int, ring: ChainRingSpec) -> Fraction:
         raise ParameterError(f"need k <= n, got k={k} > n={n}")
     if k < 0:
         raise ParameterError("k must be nonnegative")
-    qinv = Fraction(1, ring.q)
-    return pochhammer_finite(qinv, qinv, n) / pochhammer_finite(qinv, qinv, n - k)
+    # (1/q)_n / (1/q)_{n-k} = prod_{n-k<i<=n} (q^i - 1) / q^i
+    return Fraction(_exact_product(ring.q, [], 0, [(n - k, n)]), ring.q ** (k * (2 * n - k + 1) // 2))

@@ -35,20 +35,14 @@ def gaussian_binomial(n: int, k: int, base):
         return 0 if isinstance(base, int) else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
     _check_count_budget(base, [(n, k)], 0)
-    if isinstance(base, int):
-        result = 1
-        for i in range(1, k + 1):
-            # each partial product is itself a Gaussian binomial, so the
-            # division is exact at every step
-            result = result * (base ** (n - k + i) - 1) // (base ** i - 1)
-        return result
-    base = Fraction(base)
-    num = Fraction(1)
-    den = Fraction(1)
-    for i in range(k):
-        num *= base ** n - base ** i
-        den *= base ** k - base ** i
-    return num / den
+    ratio = Fraction(base)
+    a, c = ratio.numerator, ratio.denominator
+    result = 1
+    for i in range(1, k + 1):
+        # at a base a/c each partial product is c^(i (n-k)) [n-k+i, i]_{a/c},
+        # an integer, so the division is exact at every step
+        result = result * (a ** (n - k + i) - c ** (n - k + i)) // (a ** i - c ** i)
+    return result if isinstance(base, int) else Fraction(result, c ** (k * (n - k)))
 
 
 def pochhammer_finite(a, q, r: int) -> Fraction:
@@ -147,6 +141,26 @@ def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
         raise BudgetExceededError(
             f"exact count needs about {cost:.2g} bit operations, over the budget of {TOTAL_BUDGET:.2g}"
         )
+
+
+def _exact_product(base, binomials, exponent: int, spans=()):
+    """base^exponent * prod [m, k]_base * prod over (lo, hi) in spans of prod_{lo<i<=hi} (base^i - 1).
+
+    Every closed-form count is one call, charged to TOTAL_BUDGET before any
+    big-integer work.  A span is charged as sum(i) more exponent, the bits
+    of its factors, and hi - lo more factors joining the product.
+    """
+    span_exponent = sum((hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans)
+    _check_count_budget(base, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
+    result = base ** exponent
+    for m, k in binomials:
+        result *= gaussian_binomial(m, k, base)
+    for lo, hi in spans:
+        power = base ** lo
+        for _ in range(lo, hi):
+            power *= base
+            result *= power - 1
+    return result
 
 
 def q_multinomial(n: int, ell: int, s: int, base):

@@ -8,6 +8,7 @@ value is never touched: rendering is presentation only.
 
 from __future__ import annotations
 
+import math
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
@@ -69,15 +70,22 @@ def render_scientific(x: Fraction, sig: int = 3) -> str:
     """Scientific notation with ``sig`` significant digits, e.g. 1.07e-31."""
     if x <= 0:
         raise ValueError("scientific rendering needs a positive value")
-    exponent = 0
-    scaled = Fraction(x)
-    while scaled >= 10:
-        scaled /= 10
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    # the bit-length difference times log10(2) is within one of the decimal
+    # exponent, so one scaling leaves at most two steps for the loops; it
+    # stays on integers, where a Fraction would run a gcd of the whole value
+    exponent = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    num, den = (num, den * 10 ** exponent) if exponent >= 0 else (num * 10 ** -exponent, den)
+    while num >= 10 * den:
+        den *= 10
         exponent += 1
-    while scaled < 1:
-        scaled *= 10
+    while num < den:
+        num *= 10
         exponent -= 1
-    mantissa = round(scaled * 10 ** (sig - 1))  # round-half-even on Fraction
+    mantissa, rest = divmod(num * 10 ** (sig - 1), den)
+    if 2 * rest > den or (2 * rest == den and mantissa % 2):  # round half to even
+        mantissa += 1
     if mantissa >= 10 ** sig:
         mantissa //= 10
         exponent += 1

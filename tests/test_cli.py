@@ -111,6 +111,10 @@ class TestExitCodes:
             "count type --n 4000 --q 2 --s 2 --type 2000,0",
             "count shape --n 4000 --q 2 --s 2 --shape 2000,2000",
             "count matrix --m 10000000 --n 2 --q 3 --s 2 --type 1,1",
+            "prob unimodular --k 1000 --n 2000 --q 2",
+            "prob unimodular --k 800 --n 1600 --q 2",
+            "code entropy --metric lee --p 2 --s 2 --n 100000 --delta 0.2",
+            "density order-explore --n 100 --q 2 --s 5 --ell 250",
         ],
     )
     def test_exact_count_over_budget_exits_3(self, capsys, argv):
@@ -120,6 +124,11 @@ class TestExitCodes:
         assert (status, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
+
+    def test_order_explore_rejects_negative_n(self, capsys):
+        status, out, err = run_cli(capsys, "density order-explore --n -3 --q 2 --s 2 --ell 1".split())
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "n must be nonnegative" in err
 
     def test_density_limit_reaches_depth_eight(self, capsys):
         status, out, _ = run_cli(capsys, ["density", "limit", "--q", "2", "--s", "8", "--format", "json"])
@@ -467,6 +476,23 @@ class TestEnvironmentOverride:
         # looser tail, larger certified error, value still correct
         assert doc["result"]["abs_error"] > 1e-9
         assert abs(doc["result"]["value"] - 0.59546) < 1e-4
+
+    def test_table1_follows_the_environment_of_each_call(self, capsys, monkeypatch):
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        monkeypatch.delenv("CHAINRING_TARGET_TAIL", raising=False)
+        argv = ["density", "table1", "--format", "json"]
+        run_cli(capsys, argv)  # the table at the default tail first
+        monkeypatch.setenv("CHAINRING_TARGET_TAIL", "1e-3")
+        _, in_process, _ = run_cli(capsys, argv)
+        env = dict(os.environ)
+        src = str(Path(chainring.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chainring.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert fresh.returncode == 0
+        assert json.loads(in_process)["truncation_policy"]["target_tail"] == 1e-3
+        assert in_process == fresh.stdout
 
 
 class TestModuleEntryPoint:

@@ -26,7 +26,7 @@ from chainring.modcount import (
     types_of_length,
     unimodular_probability,
 )
-from chainring.qseries import gaussian_binomial
+from chainring.qseries import gaussian_binomial, pochhammer_finite
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
 
@@ -251,6 +251,9 @@ class TestCountBudget:
         # a power of 2.5e11 bits with a small binomial
         with pytest.raises(BudgetExceededError, match="budget"):
             count_free(1000, ChainRingSpec(q=2, s=1000), 500)
+        # a span of 1000 factors, 1.5M bits between them
+        with pytest.raises(BudgetExceededError, match="budget"):
+            unimodular_probability(1000, 2000, ring)
         assert time.perf_counter() - start < 1
 
     def test_long_thin_counts_within_budget(self):
@@ -316,6 +319,14 @@ class TestUnimodularProbability:
             if is_rect_unimodular(ring_matrix(ring, entries)):
                 hits += 1
         assert unimodular_probability(2, 2, Z4) == Fraction(hits, total)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_equals_pochhammer_ratio(self, q):
+        qinv = Fraction(1, q)
+        for n in range(12):
+            for k in range(n + 1):
+                expected = pochhammer_finite(qinv, qinv, n) / pochhammer_finite(qinv, qinv, n - k)
+                assert unimodular_probability(k, n, ChainRingSpec(q=q, s=2)) == expected
 
     def test_no_s_dependence(self):
         values = {unimodular_probability(2, 5, ChainRingSpec(q=3, s=s)) for s in range(1, 6)}

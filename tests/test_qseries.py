@@ -7,6 +7,7 @@ import pytest
 from chainring.approx import TruncationPolicy
 from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError
 from chainring.qseries import (
+    _exact_product,
     balanced_multinomial,
     euler_function,
     gaussian_binomial,
@@ -63,6 +64,21 @@ class TestGaussianBinomial:
                 ratio = gaussian_binomial(n, k, Fraction(1, q))  # = [n,k]_q / q^((n-k)k)
                 assert ratio >= 1
                 assert float(ratio) <= inv_euler_high + 1e-9
+
+
+class TestExactProduct:
+    @pytest.mark.parametrize("base", [2, 3, 5, Fraction(1, 2), Fraction(3, 2)])
+    def test_matches_factor_by_factor_product(self, base):
+        binomials = [(6, 2), (4, 4), (5, 0), (7, 3)]
+        spans = [(0, 3), (4, 4), (2, 6)]
+        expected = base ** 5
+        for m, k in binomials:
+            expected *= gaussian_binomial(m, k, base)
+        for lo, hi in spans:
+            for i in range(lo + 1, hi + 1):
+                expected *= base ** i - 1
+        assert _exact_product(base, binomials, 5, spans) == expected
+        assert _exact_product(base, [], 0) == 1
 
 
 class TestPochhammer:

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 from decimal import Decimal
@@ -27,6 +28,37 @@ class TestScientific:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             render_scientific(Fraction(0), 3)
+
+    def test_matches_decade_loop(self):
+        def by_decades(x: Fraction, sig: int) -> str:  # one exact step per decade
+            exponent = 0
+            while x >= 10:
+                x /= 10
+                exponent += 1
+            while x < 1:
+                x *= 10
+                exponent -= 1
+            mantissa = round(x * 10 ** (sig - 1))
+            if mantissa >= 10 ** sig:
+                mantissa //= 10
+                exponent += 1
+            digits = str(mantissa)
+            body = f"{digits[0]}.{digits[1:]}" if sig > 1 else digits
+            return f"{body}e{exponent}" if exponent < 0 else f"{body}e+{exponent}"
+
+        rng = random.Random(5)
+        cases = [Fraction(10 ** e) for e in range(-30, 31)] + [Fraction(10 ** e - 1, 10 ** e) for e in range(1, 30)]
+        for _ in range(1500):
+            cases.append(Fraction(rng.randrange(1, 10 ** rng.randrange(1, 60)), rng.randrange(1, 10 ** rng.randrange(1, 60))))
+        for x in cases:
+            for sig in (1, 2, 3):
+                assert render_scientific(x, sig) == by_decades(x, sig), (x, sig)
+
+    def test_tiny_value_is_fast(self):
+        x = Fraction(677, 10 ** 72281) + Fraction(1, 3 ** 151515)
+        start = time.perf_counter()
+        assert render_scientific(x, 3) == "6.77e-72279"
+        assert time.perf_counter() - start < 0.1
 
 
 class TestRatio:
