@@ -37,6 +37,7 @@ from .approx import ApproxReal, TruncationPolicy, default_policy
 from .errors import BudgetExceededError, NonconvergentError, ParameterError
 from .modcount import (
     ChainRingSpec,
+    _check_length,
     count_by_type,
     free_fraction_by_rank,
     types_of_length,
@@ -355,11 +356,11 @@ def type_counts_sorted(n: int, ring: ChainRingSpec, ell: int) -> list[tuple[tupl
     """All types of length ell with exact counts, most frequent first.
 
     Ties are broken by ascending lexicographic order on the type, so the
-    output is byte-stable.  More than TYPE_LIST_LIMIT types raise
+    output is byte-stable.  A negative n or an ell outside [0, n s] raises
+    ParameterError, and more than TYPE_LIST_LIMIT types raise
     BudgetExceededError before any is counted.
     """
-    if n < 0:
-        raise ParameterError(f"n must be nonnegative, got {n}")
+    _check_length(n, ring, ell)
     types = list(itertools.islice(types_of_length(ring.s, n, ell), TYPE_LIST_LIMIT + 1))
     if len(types) > TYPE_LIST_LIMIT:
         raise BudgetExceededError(

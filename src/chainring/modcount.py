@@ -81,6 +81,18 @@ def _check_type(mtype: Type, s: int):
         raise ParameterError(f"type entries must be nonnegative, got {mtype}")
 
 
+def _check_nonnegative(**sizes: int):
+    for name, size in sizes.items():
+        if size < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {size}")
+
+
+def _check_length(n: int, ring: ChainRingSpec, ell: int):
+    _check_nonnegative(n=n)
+    if not 0 <= ell <= n * ring.s:
+        raise ParameterError(f"length must lie in [0, {n * ring.s}], got {ell}")
+
+
 def shape_from_type(mtype: Type) -> Shape:
     """Conjugate partition: mu_i = k_1 + ... + k_{s-i+1}."""
     _check_type(mtype, len(mtype))
@@ -104,6 +116,7 @@ def count_by_shape(n: int, ring: ChainRingSpec, shape: Shape) -> int:
     with mu_{s+1} = 0.  Raises BudgetExceededError when the product would
     exceed ``qseries.TOTAL_BUDGET``.
     """
+    _check_nonnegative(n=n)
     type_from_shape(shape)  # validates monotonicity
     if len(shape) != ring.s:
         raise ParameterError(f"shape must have {ring.s} entries, got {len(shape)}")
@@ -124,6 +137,7 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
     Raises BudgetExceededError when the product would exceed
     ``qseries.TOTAL_BUDGET``.
     """
+    _check_nonnegative(n=n)
     _check_type(mtype, ring.s)
     if rank_of(mtype) > n:
         raise ParameterError(f"rank {rank_of(mtype)} exceeds ambient rank {n}")
@@ -148,6 +162,7 @@ def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
     Raises BudgetExceededError when the product would exceed
     ``qseries.TOTAL_BUDGET``.
     """
+    _check_nonnegative(n=n)
     if not 0 <= rank <= n:
         raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
     return _exact_product(ring.q, [(n, rank)], (n - rank) * rank * (ring.s - 1))
@@ -200,8 +215,7 @@ def total_by_length(n: int, ring: ChainRingSpec, ell: int) -> int:
     This is the depth-s q-multinomial at base q.  Raises BudgetExceededError
     when its chain sum would exceed ``qseries.TOTAL_BUDGET``.
     """
-    if ell < 0 or ell > n * ring.s:
-        raise ParameterError(f"length must lie in [0, {n * ring.s}], got {ell}")
+    _check_length(n, ring, ell)
     return q_multinomial(n, ell, ring.s, ring.q)
 
 
@@ -212,6 +226,7 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     Rank is mu_1.  Raises BudgetExceededError when the chain sum would
     exceed ``qseries.TOTAL_BUDGET``.
     """
+    _check_nonnegative(n=n)
     if not 0 <= rank <= n:
         raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
     return _chain_sum(n, ring.q, ring.s, range(rank, rank + 1), None)
@@ -247,6 +262,7 @@ def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> in
     ``qseries.TOTAL_BUDGET`` before any big-integer work; over it,
     BudgetExceededError is raised.
     """
+    _check_nonnegative(m=m, n=n)
     _check_type(mtype, ring.s)
     rank = rank_of(mtype)
     if rank > min(m, n):
@@ -261,9 +277,8 @@ def unimodular_probability(k: int, n: int, ring: ChainRingSpec) -> Fraction:
 
     Equals (1/q)_n / (1/q)_{n-k}; independent of the nilpotency index.
     """
+    _check_nonnegative(n=n, k=k)
     if k > n:
         raise ParameterError(f"need k <= n, got k={k} > n={n}")
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
     # (1/q)_n / (1/q)_{n-k} = prod_{n-k<i<=n} (q^i - 1) / q^i
     return Fraction(_exact_product(ring.q, [], 0, [(n - k, n)]), ring.q ** (k * (2 * n - k + 1) // 2))

@@ -2,9 +2,8 @@
 and seeded random matrix ensembles.
 
 The census enumerator is the ground truth the counting formulas are checked
-against: it finds the row spans of all n x n generator matrices (any
-submodule of R^n needs at most n generators) by extending the distinct spans
-one generator at a time, dedupes them by their membership bitsets, and
+against: it walks up the submodule lattice of R^n one cover (a step of
+length one) at a time, dedupes each length by membership bitsets, and
 classifies each distinct module by diagonal reduction.  Every type comes from
 one reduction that works on a whole stack of matrices at once and uses no
 inverses (see ``_types``).
@@ -27,8 +26,6 @@ from .modcount import ChainRingSpec
 
 SPAN_BUDGET = 1 << 20
 CENSUS_BUDGET = 1 << 24
-CENSUS_WORK_BUDGET = 1 << 27
-_CENSUS_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,11 @@ class ConcreteRing:
     s: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        try:
+            prime = modcount._prime_power_root(self.p) == (self.p, 1)
+        except ParameterError:  # p < 2 or not a prime power
+            prime = False
+        if not prime:
             raise ParameterError(f"p must be prime, got {self.p}")
         if self.s < 1:
             raise ParameterError(f"s must be >= 1, got {self.s}")
@@ -151,18 +152,13 @@ def is_rect_unimodular(mat: RingMatrix) -> bool:
     return matrix_type(mat) == free
 
 
-def _digits(idx: np.ndarray, mod: int, m: int) -> np.ndarray:
-    """Base-mod digits of each index, most significant first, as (len(idx), m)."""
-    out = np.empty((len(idx), m), dtype=np.int64)
-    for j in range(m - 1, -1, -1):
-        idx, out[:, j] = np.divmod(idx, mod)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _all_vectors(mod: int, m: int) -> np.ndarray:
     """All length-m vectors over Z/mod as an array, in mixed-radix order."""
-    out = _digits(np.arange(mod ** m, dtype=np.int64), mod, m)
+    idx = np.arange(mod ** m, dtype=np.int64)
+    out = np.empty((len(idx), m), dtype=np.int64)
+    for j in range(m - 1, -1, -1):
+        idx, out[:, j] = np.divmod(idx, mod)
     out.setflags(write=False)  # cached and shared
     return out
 
@@ -192,76 +188,53 @@ class TypeCensus:
 def enumerate_submodules(ring: ConcreteRing, n: int) -> TypeCensus:
     """Exhaustive census of all submodules of R^n, classified by type.
 
-    Builds the spans of all n x n generator matrices one generator at a time,
-    since span(r_1..r_j) = span(span(r_1..r_{j-1}) + r_j).  Level 0 is the zero
-    module; level j appends every row of R^n to one representative matrix of
-    each distinct level j-1 span, so level n holds the span of every n x n
-    matrix.  Each candidate span is materialised in full, x M for all
-    (p^s)^j coefficient vectors x, and keyed by its membership bitset over
-    R^n, which is the set itself; one ``np.unique`` per chunk dedupes the
-    keys.  ``CENSUS_BUDGET`` bounds the (p^s)^(n*n) generator matrices the census
-    stands for, ``CENSUS_WORK_BUDGET`` the span entries of each level.
+    Walks up the submodule lattice one length at a time.  Every nonzero T
+    has a maximal submodule S with T/S = Z/p, so T = S + R r for any r in T
+    outside S, and T is the union of the p cosets a r + S, since p r lies in
+    S.  The covers of S therefore split the r outside S with p r in S: take
+    the first such r, form its cover, drop the cover's elements and repeat,
+    and each cover of S comes out once.  Each length is deduped by membership
+    bitset, which is the set itself.  A submodule keeps the chain of elements
+    that built it, one per length, as generators, and one ``_types`` call on
+    all the chains gives the types.  ``CENSUS_BUDGET`` bounds the (p^s)^(n*n)
+    generator matrices whose spans these are, and so the submodules;
+    ``SPAN_BUDGET`` bounds the (p^s)^n elements of R^n that every membership
+    array holds.  Both are checked before any work.
     """
     if n < 0:
         raise ParameterError(f"n must be nonnegative, got {n}")
-    mod = ring.modulus
+    p, mod = ring.p, ring.modulus
     if mod ** (n * n) > CENSUS_BUDGET:
         raise BudgetExceededError(f"{mod}^{n * n} generator matrices exceed budget {CENSUS_BUDGET}")
-
-    def check(level: int, spans: int) -> None:
-        if spans * mod ** n * mod ** level > CENSUS_WORK_BUDGET:
-            raise BudgetExceededError(
-                f"{spans} x {mod}^{n} x {mod}^{level} span entries at census level {level} "
-                f"exceed budget {CENSUS_WORK_BUDGET}"
-            )
-
-    check(n, 1)  # the last level extends at least the zero module
-    reps = np.zeros((1, 0, n), dtype=np.int64)  # level 0: the zero module
-    for j in range(1, n + 1):
-        check(j, len(reps))
-        reps = _next_level(reps, mod)
-    return TypeCensus(counts=_tally(_types(reps, ring)), total=len(reps))
-
-
-def _next_level(reps: np.ndarray, mod: int) -> np.ndarray:
-    """One representative matrix for each distinct span of a matrix in reps plus one row.
-
-    With x = (y, a), x M = y M' + a r for M = (M'; r): the sum of two reduced
-    vectors, whose digits are < 2 p^s.  Both parts are coded in base 2 p^s,
-    where adding codes adds digits without carries, and one lookup in
-    ``reduce`` takes the sum to its reduced base-p^s index in R^n.
-    """
-    n = reps.shape[2]
-    rows = _all_vectors(mod, n)
-    size = len(rows)
-    reduce = np.zeros(1, dtype=np.int32)
-    for _ in range(n):
-        reduce = (reduce[:, None] * mod + np.arange(2 * mod, dtype=np.int32) % mod).ravel()
-    base = (2 * mod) ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    # y M' for every y, per representative
-    span_codes = (_all_vectors(mod, reps.shape[1]) @ reps % mod).astype(np.int32) @ base
-    multiples = np.arange(mod, dtype=np.int32)[:, None]
-    rows32 = rows.astype(np.int32)
-    candidates = len(reps) * size
-    # a chunk holds at most _CENSUS_CHUNK span entries and key bits
-    step = max(1, _CENSUS_CHUNK // max(span_codes.shape[1] * mod, size))
-    keys, firsts = [], []
-    for lo in range(0, candidates, step):
-        rep, row = np.divmod(np.arange(lo, min(lo + step, candidates)), size)
-        # a r for every a; a r < (p^s)^(2n) <= CENSUS_WORK_BUDGET fits in int32
-        row_codes = (multiples * rows32[row, None, :] % mod) @ base
-        codes = reduce[span_codes[rep, :, None] + row_codes[:, None, :]]
-        # offset each candidate to its own row of the chunk's bitsets
-        codes += (np.arange(len(row), dtype=np.int32) * size)[:, None, None]
-        bits = np.zeros((len(row), size), dtype=bool)
-        bits.ravel()[codes.ravel()] = True
-        packed = np.packbits(bits, axis=1)
-        _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
-        keys.append(packed[first])
-        firsts.append(np.concatenate((reps[rep[first]], rows[row[first], None]), axis=1))
-    packed = np.concatenate(keys)
-    _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
-    return np.concatenate(firsts)[first]
+    if mod ** n > SPAN_BUDGET:
+        raise BudgetExceededError(f"{mod}^{n} elements of R^{n} exceed budget {SPAN_BUDGET}")
+    vectors = _all_vectors(mod, n)
+    weights = mod ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    times_p = p * vectors % mod @ weights  # the index of p x, for each x
+    multiples = np.arange(1, p, dtype=np.int64)[:, None, None]  # the a of the cosets a r + S
+    zero = np.zeros(len(vectors), dtype=bool)
+    zero[0] = True
+    level = [(zero, [])]  # (membership, generators) of each submodule of one length
+    found = [[]]
+    for _ in range(n * ring.s):
+        covers = {}
+        for mask, gens in level:
+            members = vectors[mask]
+            candidates = mask[times_p] & ~mask
+            r = candidates.argmax()
+            while candidates[r]:
+                new = ((members + multiples * vectors[r]) % mod @ weights).ravel()
+                candidates[new] = False
+                cover = mask.copy()
+                cover[new] = True
+                covers.setdefault(np.packbits(cover).tobytes(), (cover, gens + [r]))
+                r = candidates.argmax()
+        level = list(covers.values())
+        found += [gens for _, gens in level]
+    chains = np.zeros((len(found), n * ring.s), dtype=np.int64)  # index 0 is the zero vector
+    for row, gens in zip(chains, found):
+        row[: len(gens)] = gens
+    return TypeCensus(counts=_tally(_types(vectors[chains], ring)), total=len(found))
 
 
 def verify_census(ring: ConcreteRing, n: int):

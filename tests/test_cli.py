@@ -46,11 +46,14 @@ class TestExitCodes:
     def test_census_budgets_exit_3(self, capsys):
         status, out, err = run_cli(capsys, ["oracle", "verify", "--p", "3", "--s", "3", "--n", "3"])
         assert (status, out, err) == (3, "", "error: 27^9 generator matrices exceed budget 16777216\n")
-        # passes the matrix budget; its one census level would hold 2^32 span entries
-        status, out, err = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "16", "--n", "1"])
-        assert status == 3
-        assert out == ""
-        assert err.startswith("error: ") and "span entries" in err and err.count("\n") == 1
+        # passes the matrix budget; its 2^21 elements of R^1 exceed the span budget
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "21", "--n", "1"])
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (3, "", "error: 2097152^1 elements of R^1 exceed budget 1048576\n")
+        status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "16", "--n", "1"])
+        assert status == 0
+        assert out.splitlines()[-2:] == ["total 17", "PASS"]
 
     def test_census_exact_past_float32_products(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "13", "--n", "1"])
@@ -124,6 +127,31 @@ class TestExitCodes:
         assert (status, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("count free --n -1 --q 2 --s 2 --K 0", "n must be nonnegative, got -1"),
+            ("count type --n -1 --q 2 --s 2 --type 0,0", "n must be nonnegative, got -1"),
+            ("count shape --n -1 --q 2 --s 2 --shape 0,0", "n must be nonnegative, got -1"),
+            ("count length --n -2 --q 2 --s 2 --ell 0", "n must be nonnegative, got -2"),
+            ("count rank --n -1 --q 2 --s 2 --K 0", "n must be nonnegative, got -1"),
+            ("count matrix --m -1 --n 2 --q 2 --s 2 --type 0,0", "m must be nonnegative, got -1"),
+            ("count matrix --m 2 --n -1 --q 2 --s 2 --type 0,0", "n must be nonnegative, got -1"),
+            ("prob unimodular --n -1 --q 2 --k 0", "n must be nonnegative, got -1"),
+            ("prob unimodular --n 3 --q 2 --k -1", "k must be nonnegative, got -1"),
+        ],
+    )
+    def test_negative_sizes_named(self, capsys, argv, message):
+        status, out, err = run_cli(capsys, argv.split())
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("ell", [-1, 7])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_order_explore_rejects_length_out_of_range(self, capsys, ell, fmt):
+        argv = f"density order-explore --format {fmt} --n 3 --q 2 --s 2 --ell {ell}".split()
+        status, out, err = run_cli(capsys, argv)
+        assert (status, out, err) == (2, "", f"error: length must lie in [0, 6], got {ell}\n")
 
     def test_order_explore_rejects_negative_n(self, capsys):
         status, out, err = run_cli(capsys, "density order-explore --n -3 --q 2 --s 2 --ell 1".split())
