@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -33,9 +33,9 @@ KINDS = (HAMMING, LEE, HOMOGENEOUS)
 
 MIN_DISTANCE_BUDGET = 1 << 20
 _TRIAL_CHUNK = 4096  # matrices drawn at once by the GV experiment; results do not depend on it
-# entries of min_distance_exhaustive's packed weight table, at most 2^24 so that
-# float32 indices are exact; results do not depend on it
-_TABLE_SIZE = 1 << 16
+# entries of min_distance_exhaustive's weight table: g columns share one index
+# while (2 p^s - 1)^g fits; results do not depend on it
+_TABLE_SIZE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,7 @@ def ball_volume(n: int, radius, model: WeightModel, closed: bool = True) -> int:
         raise ParameterError("radius must be nonnegative")
     profile = ball_profile(n, model)
     scaled = radius * model.scale
-    if closed:
-        cut = math.floor(scaled)
-    else:
-        cut = math.ceil(scaled) - 1
+    cut = math.floor(scaled) if closed else math.ceil(scaled) - 1
     if cut < 0:
         return 0
     return profile.cumulative[min(cut, len(profile.cumulative) - 1)]
@@ -208,79 +205,78 @@ def entropy_estimate(n: int, delta: float, model: WeightModel) -> ApproxReal:
 
 
 def min_distance_exhaustive(mat: RingMatrix, model: WeightModel):
-    """Minimum weight over nonzero codewords x G, by full enumeration.
+    """Minimum weight over nonzero codewords x G, by meet in the middle.
 
     Coefficient vectors x with x G = 0 are skipped; the zero code gets the
     +infinity sentinel so ensemble statistics never abort.
 
-    An entry of x G is at most top = k (p^s - 1)^2 before reduction.  When
-    top + 1 fits ``_TABLE_SIZE``, g columns of G are packed into one column
-    in radix top + 1 (the last group zero-padded), so one float32 product
-    gives, exactly, an index below radix^g <= 2^24 into a table of the
-    summed weights of its g reduced digits.  Larger moduli run the same
-    kernel with g = 1 in radix p^s, reducing the products first.
+    Every codeword is a + b mod p^s, with a = x_A G_top (the top ceil(k/2)
+    rows) and b = x_B G_bot both reduced, so a digit of a + b lies below
+    radix = 2 p^s - 1.  g columns of each half pack into one number in that
+    radix, radix^g <= ``_TABLE_SIZE`` (or g = 1), and the outer sum of the
+    packed halves indexes a table of summed digit weights, digits reduced mod
+    p^s; all in integers.  When w(-x) = w(x), as for the built-in weights, x_A
+    runs over one of each pair {x, -x}: (-x_A, -x_B) stands for (x_A, x_B).
     """
     if mat.ring != model.ring:
         raise ParameterError(f"matrix ring {mat.ring} does not match weight model ring {model.ring}")
     mod = mat.ring.modulus
-    k = mat.nrows
+    k, n = mat.nrows, mat.ncols
     if mod ** k > MIN_DISTANCE_BUDGET:
         raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {MIN_DISTANCE_BUDGET}")
-    top = k * (mod - 1) ** 2
-    packs = top < _TABLE_SIZE
-    radix, g = (top + 1 if packs else mod), 1
-    while packs and radix ** (g + 1) <= _TABLE_SIZE:
-        g += 1
-    groups = -(-mat.ncols // g)
-    padded = np.zeros((k, groups * g), dtype=np.int64)
-    padded[:, : mat.ncols] = mat.to_array()
-    packed = padded.reshape(k, groups, g) @ radix ** np.arange(g, dtype=np.int64)
-    # float32 products are exact below 2^24; int64 beyond
-    small = top < 1 << 24
-    packed = packed.astype(np.float32 if small else np.int64)
-    # a codeword weighs at most n * max(int_weights)
-    wdtype = np.int32 if mat.ncols * max(model.int_weights) < 1 << 31 else np.int64
-    table = _weight_table(model.int_weights, radix, g, wdtype)
-    ones = np.ones(groups, dtype=wdtype)
-    best = None
-    total = mod ** k
-    chunk = 1 << 17
-    coeffs = _coeff_block(mod, k, packed.dtype)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        index = coeffs[lo:hi] @ packed
-        if small:
-            index = index.astype(np.intp)
-        if not packs:
-            index %= mod
-        wt = table[index] @ ones
-        nz = wt[wt > 0]
-        if nz.size:
-            low = int(nz.min())
-            best = low if best is None else min(best, low)
-    if best is None:
-        return math.inf
-    return Fraction(best, model.scale)
+    g, pack, table, symmetric = _packing(model.int_weights, n)
+    coeffs, split = _halves(mod, k, symmetric)
+    gen = mat.to_array()
+    wt = np.zeros((split, coeffs.shape[1] - split), dtype=table.dtype)
+    # one pass per `step` columns: whole groups, at most MIN_DISTANCE_BUDGET indices
+    step = g * max(1, MIN_DISTANCE_BUDGET // wt.size)
+    for lo in range(0, n, step):
+        words = gen[:, lo : lo + step].T @ coeffs
+        words %= mod
+        if g > 1:  # with g = 1 every digit is its own index
+            words = pack[lo // g : (lo + step) // g, lo : lo + step] @ words
+        wt += table[words[:, :split, None] + words[:, None, split:]].sum(axis=0, dtype=wt.dtype)
+    nonzero = wt[wt > 0]
+    return Fraction(int(nonzero.min()), model.scale) if nonzero.size else math.inf
 
 
-@lru_cache(maxsize=1)  # keep at most one large block around
-def _coeff_block(mod: int, k: int, dtype) -> np.ndarray:
-    block = _all_vectors(mod, k).astype(dtype)
+@lru_cache(maxsize=16)
+def _halves(mod: int, k: int, symmetric: bool) -> tuple[np.ndarray, int]:
+    """Columns (x_A, 0), then (0, x_B), and the split; x_A one of each {x, -x} if ``symmetric``."""
+    ka = -(-k // 2)
+    top = _all_vectors(mod, ka)
+    if symmetric:
+        top = top[np.arange(len(top)) <= -top % mod @ mod ** np.arange(ka - 1, -1, -1)]
+    bottom = _all_vectors(mod, k - ka)
+    block = np.zeros((k, len(top) + len(bottom)), dtype=np.int64)
+    block[:ka, : len(top)] = top.T
+    block[ka:, len(top) :] = bottom.T
     block.setflags(write=False)
-    return block
+    return block, len(top)
 
 
 @lru_cache(maxsize=8)
-def _weight_table(int_weights: tuple[int, ...], radix: int, g: int, dtype) -> np.ndarray:
-    """Summed weight of the g digits of each index in radix ``radix``, each reduced mod p^s."""
-    lut = np.array(int_weights, dtype=dtype)
-    index = np.arange(radix ** g, dtype=np.int64)
-    table = np.zeros(radix ** g, dtype=dtype)
-    for _ in range(g):
-        table += lut[index % radix % len(int_weights)]
-        index //= radix
+def _packing(int_weights: tuple[int, ...], n: int) -> tuple[int, np.ndarray, np.ndarray, bool]:
+    """Group size g, packing matrix, weight table and the w(-x) = w(x) check, for length n.
+
+    Row j of the packing matrix maps group j's g columns to sum_i digit_i radix^i;
+    the table's unsigned dtype holds n max(w), the most a word can weigh.
+    """
+    mod = len(int_weights)
+    radix, g = 2 * mod - 1, 1
+    while g < n and radix ** (g + 1) <= _TABLE_SIZE:
+        g += 1
+    column = np.arange(n)
+    pack = np.zeros((-(-n // g), n), dtype=np.int64)
+    pack[column // g, column] = radix ** (column % g)
+    lut = np.array(int_weights, dtype=np.min_scalar_type(n * max(int_weights)))
+    digit = lut[np.arange(radix) % mod]
+    table = digit
+    for _ in range(g - 1):  # prepend one more significant digit
+        table = (digit[:, None] + table).ravel()
+    pack.setflags(write=False)
     table.setflags(write=False)
-    return table
+    return g, pack, table, bool((lut[1:] == lut[:0:-1]).all())
 
 
 @dataclass(frozen=True)
@@ -369,6 +365,11 @@ def gv_random_experiment(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    for name, value in (("delta", delta), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     ring = model.ring
     if not 0.0 <= delta:
         raise ParameterError("delta must be nonnegative")
@@ -384,15 +385,11 @@ def gv_random_experiment(
     if k < 1:
         raise ParameterError(f"computed k = {k} < 1; increase n or decrease epsilon")
     if ring.modulus ** k > MIN_DISTANCE_BUDGET:
-        raise BudgetExceededError(
-            f"{ring.modulus}^{k} codewords exceed budget {MIN_DISTANCE_BUDGET}"
-        )
+        raise BudgetExceededError(f"{ring.modulus}^{k} codewords exceed budget {MIN_DISTANCE_BUDGET}")
 
     cutoff = Fraction(delta) * model.max_weight(n)
 
-    def distance(mat: RingMatrix):
-        return min_distance_exhaustive(mat, model)
-
+    distance = partial(min_distance_exhaustive, model=model)
     # freeness of a whole chunk of trials from one batched reduction
     free_type = (k,) + (0,) * (ring.s - 1)
     outcomes = []

@@ -187,6 +187,23 @@ class TestExitCodes:
         assert (status, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "threads, delta, eps, message",
+        [
+            ("0", "0.05", "0.15", "jobs must be >= 1, got 0"),
+            ("-3", "0.05", "0.15", "jobs must be >= 1, got -3"),
+            ("1", "nan", "0.15", "delta must be finite, got nan"),
+            ("1", "0.05", "inf", "epsilon must be finite, got inf"),
+        ],
+    )
+    def test_gv_experiment_rejects_bad_threads_and_nonfinite(self, capsys, threads, delta, eps, message):
+        argv = (
+            f"code gv-experiment --metric lee --p 2 --s 2 --n 8 --delta {delta} --eps {eps} "
+            f"--trials 4 --seed 1 --threads {threads}"
+        )
+        status, out, err = run_cli(capsys, argv.split())
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
     def test_oracle_verify_passes(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
         assert status == 0

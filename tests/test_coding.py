@@ -301,10 +301,10 @@ class TestMinDistance:
                 zero = ring_matrix(ring, [[0] * n for _ in range(k)])
                 assert min_distance_exhaustive(zero, model) == math.inf
 
-    def test_minimum_in_second_chunk(self):
-        # 4^9 coefficient vectors fill two chunks of 2^17; x_0 is the most
-        # significant digit, so only the second chunk holds x_0 = 2, the one
-        # multiple of (1, 2) of least weight: (2, 0)
+    def test_minimum_at_one_coefficient(self):
+        # of the 4^9 coefficient vectors only those with x_0 = 2 give (2, 0),
+        # the multiple of (1, 2) of least weight; x_0 lies in the top half of
+        # the split, where 2 = -2 is its own pair {x, -x}
         rows = [[1, 2]] + [[0, 0]] * 8
         for kind in KINDS:
             model = make_weight_model(kind, Z4)
@@ -341,6 +341,87 @@ class TestMinDistance:
             mat = ring_matrix(Z8, [[rng.randrange(8) for _ in range(5)] for _ in range(2)])
             assert min_distance_exhaustive(mat, wide) == min_distance_exhaustive(mat, lee)
 
+    def test_asymmetric_weight_enumerates_in_full(self):
+        # w(x) = x on Z/8: x G and (-x) G weigh differently, so no coefficient
+        # vector may be skipped; for G = (7) only x = 7 reaches the codeword 1
+        asym = WeightModel(
+            kind="asym",
+            ring=Z8,
+            symbol_weights=tuple(Fraction(x) for x in range(8)),
+            scale=1,
+            int_weights=tuple(range(8)),
+            max_symbol_weight=Fraction(7),
+            eta=Fraction(7),
+        )
+        assert min_distance_exhaustive(ring_matrix(Z8, [[7]]), asym) == 1
+        assert min_distance_exhaustive(ring_matrix(Z8, [[7, 6]]), asym) == 3
+        rng = random.Random(88)
+        for _ in range(30):
+            k, n = rng.randint(1, 4), rng.randint(1, 6)
+            rows = [[rng.randrange(8) for _ in range(n)] for _ in range(k)]
+            expected = naive_min_distance(rows, 8, asym.symbol_weights)
+            assert min_distance_exhaustive(ring_matrix(Z8, rows), asym) == expected, rows
+
+    def test_odd_k_and_empty_bottom_half(self):
+        # odd k splits unevenly; at k = 1 the bottom half is the empty vector
+        rng = random.Random(35)
+        for ring in SMALL_RINGS:
+            mod = ring.modulus
+            for k in (1, 3, 5):
+                if mod ** k > 20000:
+                    continue
+                for kind in KINDS:
+                    model = make_weight_model(kind, ring)
+                    n = rng.randint(1, 6)
+                    rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(k)]
+                    expected = naive_min_distance(rows, mod, model.symbol_weights)
+                    assert min_distance_exhaustive(ring_matrix(ring, rows), model) == expected, (
+                        ring, kind, rows
+                    )
+
+    @pytest.mark.parametrize("ring", [Z4, Z8], ids=str)
+    def test_self_negating_codewords(self, ring):
+        # entries in {0, p^s/2}: every codeword c has c = -c
+        half = ring.modulus // 2
+        rng = random.Random(half)
+        for kind in KINDS:
+            model = make_weight_model(kind, ring)
+            for _ in range(10):
+                k, n = rng.randint(1, 5), rng.randint(1, 6)
+                rows = [[half * rng.randrange(2) for _ in range(n)] for _ in range(k)]
+                expected = naive_min_distance(rows, ring.modulus, model.symbol_weights)
+                assert min_distance_exhaustive(ring_matrix(ring, rows), model) == expected, rows
+
+    def test_enumerates_only_half_the_rows(self, monkeypatch):
+        # a 20 x 24 code over Z/2 has 2^20 codewords, but only the coefficient
+        # vectors of one half of G, 2^10 of them, are ever materialised
+        sizes = []
+        all_vectors = coding._all_vectors
+
+        def spy(mod, m):
+            sizes.append(m)
+            return all_vectors(mod, m)
+
+        monkeypatch.setattr(coding, "_all_vectors", spy)
+        coding._halves.cache_clear()
+        z2 = ConcreteRing(p=2, s=1)
+        # (I | J) with every row of J nonzero and one of weight 1: distance 2
+        rows = [[int(i == j) for j in range(20)] + [int(b) for b in f"{i % 15 + 1:04b}"] for i in range(20)]
+        assert min_distance_exhaustive(ring_matrix(z2, rows), make_weight_model(HAMMING, z2)) == 2
+        assert sizes and max(sizes) <= 10
+
+    def test_one_pass_per_column_group(self, monkeypatch):
+        # a budget of 4^4 leaves room for one group of 6 columns per pass at
+        # k = 4 on Z/4 (10 x 16 pairs), so n = 12..14 takes 2 or 3 passes
+        monkeypatch.setattr(coding, "MIN_DISTANCE_BUDGET", 4 ** 4)
+        rng = random.Random(44)
+        for kind in KINDS:
+            model = make_weight_model(kind, Z4)
+            for n in (12, 13, 14):
+                rows = [[rng.randrange(4) for _ in range(n)] for _ in range(4)]
+                expected = naive_min_distance(rows, 4, model.symbol_weights)
+                assert min_distance_exhaustive(ring_matrix(Z4, rows), model) == expected, rows
+
     def test_budget(self):
         mat = ring_matrix(Z4, [[0] * 3 for _ in range(11)])
         with pytest.raises(BudgetExceededError):
@@ -371,6 +452,19 @@ class TestExperiment:
             gv_random_experiment(8, 0.9, 0.05, model, trials=5, seed=1)
         with pytest.raises(ParameterError):
             gv_random_experiment(8, -0.1, 0.2, model, trials=5, seed=1)
+
+    def test_rejects_nonpositive_jobs_and_nonfinite_parameters(self):
+        model = make_weight_model(LEE, Z4)
+        for jobs in (0, -3):
+            with pytest.raises(ParameterError, match=f"jobs must be >= 1, got {jobs}"):
+                gv_random_experiment(8, 0.05, 0.2, model, trials=5, seed=1, jobs=jobs)
+        for delta, epsilon, message in [
+            (math.nan, 0.2, "delta must be finite, got nan"),
+            (math.inf, 0.2, "delta must be finite, got inf"),
+            (0.05, math.nan, "epsilon must be finite, got nan"),
+        ]:
+            with pytest.raises(ParameterError, match=message):
+                gv_random_experiment(8, delta, epsilon, model, trials=5, seed=1)
 
     def test_epsilon_error_reports_growth_rate(self):
         model = make_weight_model(LEE, Z4)
