@@ -50,6 +50,11 @@ class WeightModel:
     max_symbol_weight: Fraction
     eta: Fraction
 
+    def __hash__(self) -> int:
+        # equal models agree on these three, and hashing the p^s-entry tables
+        # on every cache lookup would cost more than most lookups save
+        return hash((self.kind, self.ring, self.scale))
+
     def max_weight(self, n: int) -> Fraction:
         """Largest weight a length-n tuple can have."""
         return n * self.max_symbol_weight
@@ -74,29 +79,28 @@ def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
     """
     mod = ring.modulus
     if kind == HAMMING:
-        weights = [Fraction(0)] + [Fraction(1)] * (mod - 1)
+        scale, int_weights = 1, (0,) + (1,) * (mod - 1)
     elif kind == LEE:
-        weights = [Fraction(min(x, mod - x)) for x in range(mod)]
+        # min(x, mod - x): up to mod/2, then back down to 1
+        scale, int_weights = 1, tuple(range(mod // 2 + 1)) + tuple(range((mod - 1) // 2, 0, -1))
     elif kind == HOMOGENEOUS:
-        ideal = ring.p ** (ring.s - 1)
-        unit_share = Fraction(ring.p, ring.p - 1)
-        weights = [
-            Fraction(0) if x == 0 else (unit_share if x % ideal == 0 else Fraction(1))
-            for x in range(mod)
-        ]
+        # p/(p-1) on the minimal ideal, 1 elsewhere: p and p - 1 on the grid
+        ideal, scale = ring.p ** (ring.s - 1), ring.p - 1
+        int_weights = tuple(0 if x == 0 else ring.p if x % ideal == 0 else scale for x in range(mod))
     else:
         raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
 
-    scale = math.lcm(*(w.denominator for w in weights))
-    nonzero = weights[1:]
+    # one Fraction per distinct weight, shared by the symbols that have it
+    top = max(int_weights)
+    fractions = [Fraction(w, scale) for w in range(top + 1)]
     return WeightModel(
         kind=kind,
         ring=ring,
-        symbol_weights=tuple(weights),
+        symbol_weights=tuple(map(fractions.__getitem__, int_weights)),
         scale=scale,
-        int_weights=tuple(int(w * scale) for w in weights),
-        max_symbol_weight=max(weights),
-        eta=max(nonzero) / min(nonzero),
+        int_weights=int_weights,
+        max_symbol_weight=fractions[top],
+        eta=Fraction(top, min(int_weights[1:])),
     )
 
 
@@ -224,7 +228,7 @@ def min_distance_exhaustive(mat: RingMatrix, model: WeightModel):
     k, n = mat.nrows, mat.ncols
     if mod ** k > MIN_DISTANCE_BUDGET:
         raise BudgetExceededError(f"{mod}^{k} codewords exceed budget {MIN_DISTANCE_BUDGET}")
-    g, pack, table, symmetric = _packing(model.int_weights, n)
+    g, pack, table, symmetric = _packing(model, n)
     coeffs, split = _halves(mod, k, symmetric)
     gen = mat.to_array()
     wt = np.zeros((split, coeffs.shape[1] - split), dtype=table.dtype)
@@ -256,12 +260,13 @@ def _halves(mod: int, k: int, symmetric: bool) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=8)
-def _packing(int_weights: tuple[int, ...], n: int) -> tuple[int, np.ndarray, np.ndarray, bool]:
+def _packing(model: WeightModel, n: int) -> tuple[int, np.ndarray, np.ndarray, bool]:
     """Group size g, packing matrix, weight table and the w(-x) = w(x) check, for length n.
 
     Row j of the packing matrix maps group j's g columns to sum_i digit_i radix^i;
     the table's unsigned dtype holds n max(w), the most a word can weigh.
     """
+    int_weights = model.int_weights
     mod = len(int_weights)
     radix, g = 2 * mod - 1, 1
     while g < n and radix ** (g + 1) <= _TABLE_SIZE:

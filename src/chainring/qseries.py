@@ -10,6 +10,7 @@ k in {0, n}; the empty Pochhammer product is 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -215,6 +216,8 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
     sum_i mu_i (n - mu_i) over the chains, because [m, k]_b < 4 b^(k (m - k))
     and there are at most (rows+1)^s chains.  At a base a/c a unit of E
     costs log2(max(a, c)) bits of numerator and log2(c) of denominator.
+    At s <= 2 the sum builds no table but is charged as if it did, so that
+    no input moves between admitted and refused.
     """
     rows = first[-1]
 
@@ -243,11 +246,15 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     A chain is weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i),
     which at a prime power base counts the submodules of that shape; with
     ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
-    Suffix sums are memoised on (position, mu_{i-1}, what remains), so each is
+    At s <= 2 the sum reads one binomial row or one diagonal, walked by ratio
+    steps (_short_chain_sum).  Deeper sums read whole row segments: their
+    suffix sums are memoised on (position, mu_{i-1}, what remains), so each is
     built once from the q-Pascal rows up to max(first), which is all the sum
     reads below position 1.
     """
     _check_total_budget(n, base, s, first, remaining)
+    if s <= 2:
+        return _short_chain_sum(n, base, s, first, remaining)
     rows = first[-1]
     pascal = _q_pascal(rows, base)
     memo: dict[tuple, int | Fraction] = {}
@@ -282,6 +289,62 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
         binomial = gaussian_binomial(n, mu, base) if top is None else top[mu]
         result += binomial * suffix(2, mu, None if remaining is None else remaining - mu)
     return result
+
+
+def _exact_ratio(value, num, den):
+    """value * num / den for a quotient known to be exact: // at an integer base."""
+    return value * num // den if isinstance(value, int) else value * num / den
+
+
+def _binomial_row(m: int, base):
+    """Yield [m, 0], [m, 1], ..., [m, m] by [m, k+1] = [m, k] (b^(m-k) - 1) / (b^(k+1) - 1)."""
+    value = 1 if isinstance(base, int) else Fraction(1)
+    yield value
+    for k in range(m):
+        value = _exact_ratio(value, base ** (m - k) - 1, base ** (k + 1) - 1)
+        yield value
+
+
+def _short_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
+    """_chain_sum at s <= 2, from ratio steps along one row or diagonal, with no table.
+
+    At s = 1 each chain is [n, mu_1] alone.  At s = 2 with mu_1 = K the
+    suffix is sum_mu [K, mu] x^mu, x = b^(n - K), by Horner along row K.
+    With the length ell fixed, a chain (mu, j = ell - mu) weighs
+    T(mu) b^((n - mu) j), where T(mu) = [n, mu] [mu, j] is the q-trinomial
+    (q)_n / ((q)_j (q)_(mu-j) (q)_(n-mu)), (q)_m = prod_{i<=m} (b^i - 1).  So
+    T(mu + 1) = T(mu) (b^j - 1)(b^(n-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)),
+    and the powers fold in by Horner: b^(n+ell-2mu-1) between T(mu) and
+    T(mu + 1), and b^((n - hi)(ell - hi)) once at the end.  The ratios divide by b^i - 1, so
+    the bases 1 and -1 raise ZeroDivisionError, as in gaussian_binomial.
+    """
+    if s == 1:
+        return sum(gaussian_binomial(n, mu, base) for mu in first if remaining in (None, mu))
+    if remaining is None:
+        total = 0
+        for mu in first:
+            x = base ** (n - mu)
+            inner = 0
+            for binomial in _binomial_row(mu, base):  # [mu, k] = [mu, mu - k]: Horner from the top
+                inner = inner * x + binomial
+            total += gaussian_binomial(n, mu, base) * inner
+        return total
+    ell, lo, hi = remaining, first[0], first[-1]
+    if hi < n:
+        # the table-free walk reads no gaussian_binomial(n, mu); keep the
+        # refusals those calls make, in the same order
+        for mu in first:
+            _check_count_budget(base, [(n, mu)], 0)
+    # [n, lo] from the nearer end of row n; lo - (ell - lo) is 0 or 1
+    term = next(itertools.islice(_binomial_row(n, base), min(lo, n - lo), None))
+    term *= gaussian_binomial(lo, ell - lo, base)
+    total = term
+    for mu in range(lo, hi):  # T(mu) -> T(mu + 1)
+        j = ell - mu
+        num = (base ** j - 1) * (base ** (n - mu) - 1)
+        term = _exact_ratio(term, num, (base ** (mu - j + 1) - 1) * (base ** (mu - j + 2) - 1))
+        total = total * base ** (n + ell - 2 * mu - 1) + term
+    return total * base ** ((n - hi) * (ell - hi))
 
 
 def balanced_multinomial(n: int, m, s: int, base) -> ApproxReal:

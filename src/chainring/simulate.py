@@ -26,6 +26,7 @@ from .modcount import ChainRingSpec
 
 SPAN_BUDGET = 1 << 20
 CENSUS_BUDGET = 1 << 24
+_VALUATION_TABLE = 1 << 20  # largest p^s whose residues _types tabulates; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ def _types(mats, ring: ConcreteRing) -> np.ndarray:
     row is skipped: it never changes the block later steps read.  Each pivot
     p^v with v < s is one cyclic summand of length s - v.  While p^s < 2^31 the
     entries are int64 and every product stays below 2^62; larger moduli use
-    Python ints.
+    Python ints.  Valuations are read from a table of all residues while
+    p^s <= _VALUATION_TABLE, and counted as the k with p^k | x above it; the
+    zero element passes all s tests, so its valuation is s.
     """
     p, s, mod = ring.p, ring.s, ring.modulus
     dtype = np.int64 if mod < 1 << 31 else object
@@ -110,11 +113,23 @@ def _types(mats, ring: ConcreteRing) -> np.ndarray:
     batch_size, m, n = work.shape
     batch = np.arange(batch_size)
     powers = np.array([p ** k for k in range(s + 1)], dtype=dtype)
+    if mod <= _VALUATION_TABLE:
+        table = np.zeros(mod, dtype=np.min_scalar_type(s))
+        for power in powers[1:]:
+            table[::power] += 1
+        valuation = table.take
+    else:
+
+        def valuation(block):
+            val = np.zeros(block.shape, dtype=np.min_scalar_type(s))
+            for power in powers[1:]:
+                val += block % power == 0
+            return val
+
     pivots = []
     for _ in range(min(m, n)):
         rows, cols = work.shape[1:]
-        # the zero element passes all s tests, so its valuation is s
-        val = (work % powers[1:, None, None, None] == 0).sum(axis=0)
+        val = valuation(work)
         i0, j0 = np.divmod(val.reshape(batch_size, rows * cols).argmin(axis=1), cols)
         v = val[batch, i0, j0]
         pivots.append(v)
@@ -128,13 +143,25 @@ def _types(mats, ring: ConcreteRing) -> np.ndarray:
         col = work[:, :, :1] // powers[v][:, None, None]
         work = (col[:, :1] * work[:, 1:, 1:] - col[:, 1:] * work[:, :1, 1:]) % mod
     # a pivot of valuation v < s is one summand, at type position i = v + 1
-    pivots = np.array(pivots, dtype=np.int64).reshape(-1, batch_size).T
+    pivots = np.array(pivots, dtype=np.int64).reshape(len(pivots), batch_size).T
     return (pivots[:, :, None] == np.arange(s)).sum(axis=1)
 
 
 def _tally(types: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Count the distinct rows of a stack of types."""
-    rows, counts = np.unique(types, axis=0, return_counts=True)
+    """Count the distinct rows of a stack of types, in lexicographic order.
+
+    Each row is one number in radix max + 1, which keeps the order, so one
+    1-D unique replaces the much slower row-wise one.
+    """
+    if not types.size:
+        return {}
+    radix = int(types.max()) + 1
+    if radix ** types.shape[1] >= 1 << 63:  # the codes would overflow int64
+        rows, counts = np.unique(types, axis=0, return_counts=True)
+    else:
+        place = radix ** np.arange(types.shape[1] - 1, -1, -1, dtype=np.int64)
+        codes, counts = np.unique(types @ place, return_counts=True)
+        rows = codes[:, None] // place % radix
     return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
 

@@ -110,7 +110,9 @@ def naive_q_multinomial(n: int, ell: int, s: int, base):
 
     total = 0
     for mu in itertools.product(range(ell + 1), repeat=s):
-        if sum(mu) != ell:
+        # a part above n has a zero binomial at or before it, and would make
+        # the next exponent negative (a float at an integer base)
+        if sum(mu) != ell or max(mu) > n:
             continue
         term = gaussian_binomial(n, mu[0], base)
         for j in range(s - 1):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -92,6 +94,50 @@ class TestWeightModels:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             make_weight_model("euclidean", Z4)
+
+    def test_fields_equal_fraction_construction(self):
+        # the definition: one Fraction per symbol, scaled by the lcm of the denominators
+        def reference(kind, ring):
+            mod, p = ring.modulus, ring.p
+            weights = {
+                HAMMING: [Fraction(min(x, 1)) for x in range(mod)],
+                LEE: [Fraction(min(x, mod - x)) for x in range(mod)],
+                HOMOGENEOUS: [
+                    Fraction(0) if x == 0 else Fraction(p, p - 1) if x % p ** (ring.s - 1) == 0 else Fraction(1)
+                    for x in range(mod)
+                ],
+            }[kind]
+            scale = math.lcm(*(w.denominator for w in weights))
+            nonzero = weights[1:]
+            return WeightModel(
+                kind, ring, tuple(weights), scale, tuple(int(w * scale) for w in weights),
+                max(weights), max(nonzero) / min(nonzero),
+            )
+
+        for ring in SMALL_RINGS:
+            for kind in KINDS:
+                model, expected = make_weight_model(kind, ring), reference(kind, ring)
+                assert model == expected, (kind, ring)
+                assert all(type(w) is Fraction for w in model.symbol_weights)
+                assert type(model.max_symbol_weight) is type(model.eta) is Fraction
+
+    def test_large_ring_builds_and_hashes_fast(self):
+        # Z/2^20: about 5 s per model from 2^20 Fractions, and 0.4-0.6 s per
+        # hash of the tables, before
+        ring = ConcreteRing(p=2, s=20)
+        for kind in KINDS:
+            start = time.thread_time()
+            model = make_weight_model(kind, ring)
+            built = time.thread_time()
+            hash(model)
+            assert built - start < 1.5, kind
+            assert time.thread_time() - built < 0.01, kind
+
+    def test_hash_skips_tables_equality_reads_them(self):
+        lee = make_weight_model(LEE, Z8)
+        other = dataclasses.replace(lee, int_weights=tuple(range(8)))
+        assert hash(other) == hash(lee) and other != lee
+        assert make_weight_model(LEE, Z8) == lee
 
 
 class TestBallVolumes:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,8 @@ class TestTotals:
             (total_by_length, 72, 3, 4, 144, 8218, "3781a217597dc719"),
             (total_by_rank, 55, 2, 5, 25, 3752, "a0316333b52f633b"),
             (total_by_length, 40, 5, 5, 90, 4598, "675cd6c0c19474d3"),
+            (total_by_rank, 1000, 2, 2, 990, 259905, "762dd237e6ba8f32"),
+            (total_by_length, 600, 2, 2, 600, 180003, "20cccab356659d85"),
         ],
     )
     def test_large_totals_pinned(self, fn, n, q, s, arg, bits, digest):
@@ -228,6 +231,24 @@ class TestTotalBudget:
         with pytest.raises(BudgetExceededError):
             free_fraction_by_rank(4000, ChainRingSpec(q=2, s=3), 2000)
         assert time.perf_counter() - start < 2
+
+    def test_depth_two_total_in_little_memory(self):
+        # one diagonal of ratio steps, no q-Pascal table (which took about 390 MiB)
+        tracemalloc.start()
+        try:
+            total_by_length.__wrapped__(600, ChainRingSpec(q=2, s=2), 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+
+    def test_depth_two_total_keeps_binomial_refusals(self):
+        # [30000, 100]_2 alone is over the count budget though the chain sum is
+        # not; the sum reads no such binomial now, but still refuses, at once
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="exact count needs"):
+            total_by_length(30000, ChainRingSpec(q=2, s=2), 100)
+        assert time.perf_counter() - start < 1
 
     def test_long_thin_total_within_budget(self):
         # 600k bits, but a four-term chain sum

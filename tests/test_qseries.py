@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from chainring import qseries
 from chainring.approx import TruncationPolicy
 from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError
 from chainring.qseries import (
+    _chain_sum,
     _exact_product,
     balanced_multinomial,
     euler_function,
@@ -173,6 +175,34 @@ class TestQMultinomial:
                     value = q_multinomial(n, ell, s, base)
                     assert type(value) is kind
                     assert value == naive_q_multinomial(n, ell, s, base)
+
+    @pytest.mark.parametrize("base", [2, 3, HALF, Fraction(3, 2), Fraction(2, 3)])
+    def test_short_chains_match_definition(self, base):
+        # s <= 2 walks one row or diagonal by ratio steps; the definition reads
+        # each binomial from gaussian_binomial
+        kind = int if isinstance(base, int) else Fraction
+        for n in (0, 1, 2, 5, 12, 30):
+            for s in (1, 2):
+                for ell in range(n * s + 1):
+                    value = q_multinomial(n, ell, s, base)
+                    assert type(value) is kind
+                    assert value == naive_q_multinomial(n, ell, s, base), (n, s, ell)
+            for k in range(n + 1):
+                row = sum(gaussian_binomial(k, mu, base) * base ** ((n - k) * mu) for mu in range(k + 1))
+                assert _chain_sum(n, base, 1, range(k, k + 1), None) == gaussian_binomial(n, k, base)
+                assert _chain_sum(n, base, 2, range(k, k + 1), None) == gaussian_binomial(n, k, base) * row
+
+    def test_short_chains_build_no_table(self, monkeypatch):
+        built = []
+        pascal = qseries._q_pascal
+        monkeypatch.setattr(qseries, "_q_pascal", lambda rows, base: built.append(rows) or pascal(rows, base))
+        for base in (2, Fraction(3, 2)):
+            for s in (1, 2):
+                q_multinomial(20, 15, s, base)
+                _chain_sum(20, base, s, range(12, 13), None)
+        assert built == []
+        assert q_multinomial(6, 7, 3, 2) == naive_q_multinomial(6, 7, 3, 2)  # deeper sums keep the table
+        assert built == [6]
 
     @pytest.mark.parametrize("base", [2, Fraction(3, 2), Fraction(2, 3)])
     def test_oversized_sum_refused_before_work(self, base):

@@ -20,6 +20,7 @@ from chainring.simulate import (
     valuation,
     validate_matrix_count_interpretation,
     verify_census,
+    _tally,
     _types,
 )
 
@@ -130,6 +131,32 @@ class TestMatrixType:
         assert matrix_type(ring_matrix(Z4, [])) == (0, 0)
         assert _types(np.zeros((5, 0, 3), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
         assert _types(np.zeros((5, 3, 0), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
+
+    def test_valuation_table_equals_divisibility_tests(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        stacks = [(ring, rng.integers(0, ring.modulus, size=(200, 3, 4))) for ring in (Z4, Z8, Z9, Z27)]
+        tabled = [_types(mats, ring) for ring, mats in stacks]
+        monkeypatch.setattr(simulate, "_VALUATION_TABLE", 0)
+        for (ring, mats), types in zip(stacks, tabled):
+            assert (_types(mats, ring) == types).all()
+
+    def test_empty_stack(self):
+        types = _types(np.zeros((0, 2, 3), dtype=np.int64), Z9)
+        assert types.shape == (0, 2)
+        assert _tally(types) == {}
+
+    def test_tally_equals_row_unique(self):
+        # one radix code per row, in lexicographic order, as np.unique(axis=0) gives
+        def row_unique(types):
+            rows, counts = np.unique(types, axis=0, return_counts=True)
+            return list(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+        rng = np.random.default_rng(23)
+        stacks = [np.array([[3, 0, 1]]), np.zeros((5, 4), dtype=np.int64)]
+        for n, s in [(1, 1), (2, 3), (4, 2), (3, 5), (6, 6), (1, 40)]:  # 41^40 codes overflow int64
+            stacks.append(rng.integers(0, n * s + 1, size=(rng.integers(1, 3000), s)))
+        for types in stacks:
+            assert list(_tally(types).items()) == row_unique(types)
 
     def test_invariant_under_row_ops(self):
         rng = random.Random(5)
