@@ -70,12 +70,15 @@ class WeightModel:
         return float(Fraction(sum(self.symbol_weights), self.ring.modulus) / self.max_symbol_weight)
 
 
+@lru_cache(maxsize=8)
 def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
     """Build the symbol-weight table of a built-in weight on Z/p^s.
 
     Each of the three kinds is positive definite, symmetric and satisfies the
     triangle inequality by construction, so the table is not re-checked here
     (the test suite checks all three axioms on every table up to Z/32).
+    Repeated builds return the same model, so the caches keyed on it hit by
+    identity and never compare its p^s-entry tables.
     """
     mod = ring.modulus
     if kind == HAMMING:

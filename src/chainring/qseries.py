@@ -36,6 +36,10 @@ def gaussian_binomial(n: int, k: int, base):
         return 0 if isinstance(base, int) else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
     _check_count_budget(base, [(n, k)], 0)
+    if base == 1:  # the product below would divide by b^i - 1 = 0
+        return math.comb(n, k)
+    if base == -1:
+        return 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
     ratio = Fraction(base)
     a, c = ratio.numerator, ratio.denominator
     result = 1
@@ -315,11 +319,17 @@ def _short_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     (q)_n / ((q)_j (q)_(mu-j) (q)_(n-mu)), (q)_m = prod_{i<=m} (b^i - 1).  So
     T(mu + 1) = T(mu) (b^j - 1)(b^(n-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)),
     and the powers fold in by Horner: b^(n+ell-2mu-1) between T(mu) and
-    T(mu + 1), and b^((n - hi)(ell - hi)) once at the end.  The ratios divide by b^i - 1, so
-    the bases 1 and -1 raise ZeroDivisionError, as in gaussian_binomial.
+    T(mu + 1), and b^((n - hi)(ell - hi)) once at the end.  The ratios divide
+    by b^i - 1, so at the bases 1 and -1 the chains are summed one by one.
     """
     if s == 1:
-        return sum(gaussian_binomial(n, mu, base) for mu in first if remaining in (None, mu))
+        return sum(gaussian_binomial(n, mu, base) for mu in first)
+    if base in (1, -1):  # every power is 1 or -1
+        return sum(
+            gaussian_binomial(n, mu, base) * gaussian_binomial(mu, k, base) * base ** ((n - mu) * k)
+            for mu in first
+            for k in (range(mu + 1) if remaining is None else (remaining - mu,))
+        )
     if remaining is None:
         total = 0
         for mu in first:

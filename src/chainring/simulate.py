@@ -26,7 +26,6 @@ from .modcount import ChainRingSpec
 
 SPAN_BUDGET = 1 << 20
 CENSUS_BUDGET = 1 << 24
-_VALUATION_TABLE = 1 << 20  # largest p^s whose residues _types tabulates; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,8 @@ def _types(mats, ring: ConcreteRing) -> np.ndarray:
     row is skipped: it never changes the block later steps read.  Each pivot
     p^v with v < s is one cyclic summand of length s - v.  While p^s < 2^31 the
     entries are int64 and every product stays below 2^62; larger moduli use
-    Python ints.  Valuations are read from a table of all residues while
-    p^s <= _VALUATION_TABLE, and counted as the k with p^k | x above it; the
-    zero element passes all s tests, so its valuation is s.
+    Python ints.  The valuation of x counts the k in 1..s with p^k | x, so the
+    zero element has valuation s.
     """
     p, s, mod = ring.p, ring.s, ring.modulus
     dtype = np.int64 if mod < 1 << 31 else object
@@ -113,23 +111,12 @@ def _types(mats, ring: ConcreteRing) -> np.ndarray:
     batch_size, m, n = work.shape
     batch = np.arange(batch_size)
     powers = np.array([p ** k for k in range(s + 1)], dtype=dtype)
-    if mod <= _VALUATION_TABLE:
-        table = np.zeros(mod, dtype=np.min_scalar_type(s))
-        for power in powers[1:]:
-            table[::power] += 1
-        valuation = table.take
-    else:
-
-        def valuation(block):
-            val = np.zeros(block.shape, dtype=np.min_scalar_type(s))
-            for power in powers[1:]:
-                val += block % power == 0
-            return val
-
     pivots = []
     for _ in range(min(m, n)):
         rows, cols = work.shape[1:]
-        val = valuation(work)
+        val = np.zeros(work.shape, dtype=np.min_scalar_type(s))
+        for power in powers[1:]:
+            val += work % power == 0
         i0, j0 = np.divmod(val.reshape(batch_size, rows * cols).argmin(axis=1), cols)
         v = val[batch, i0, j0]
         pivots.append(v)

@@ -127,11 +127,23 @@ class TestWeightModels:
         ring = ConcreteRing(p=2, s=20)
         for kind in KINDS:
             start = time.thread_time()
-            model = make_weight_model(kind, ring)
+            model = make_weight_model.__wrapped__(kind, ring)  # a real build, not a cache hit
             built = time.thread_time()
             hash(model)
             assert built - start < 1.5, kind
             assert time.thread_time() - built < 0.01, kind
+
+    def test_repeat_builds_hit_caches_by_identity(self):
+        # as the CLI does, build the model afresh for each call; an equal but
+        # distinct model would make every cache hit compare 2^20 Fractions
+        mat = ring_matrix(ConcreteRing(p=2, s=20), [[1, 3, 5, 7]])
+        first = make_weight_model(LEE, ConcreteRing(p=2, s=20))
+        distance = min_distance_exhaustive(mat, first)
+        start = time.thread_time()
+        again = make_weight_model(LEE, ConcreteRing(p=2, s=20))
+        assert again is first
+        assert min_distance_exhaustive(mat, again) == distance
+        assert time.thread_time() - start < 0.1
 
     def test_hash_skips_tables_equality_reads_them(self):
         lee = make_weight_model(LEE, Z8)

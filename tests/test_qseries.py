@@ -192,11 +192,33 @@ class TestQMultinomial:
                 assert _chain_sum(n, base, 1, range(k, k + 1), None) == gaussian_binomial(n, k, base)
                 assert _chain_sum(n, base, 2, range(k, k + 1), None) == gaussian_binomial(n, k, base) * row
 
+    @pytest.mark.parametrize("base", [1, -1])
+    def test_unit_bases(self, base):
+        # the ratio steps divide by b^i - 1 = 0 here; the q-Pascal rule does not
+        pascal = qseries._q_pascal(24, base)
+        for m in range(25):
+            assert [gaussian_binomial(m, k, base) for k in range(m + 1)] == pascal[m]
+        for n in (0, 1, 2, 5, 12):
+            for s in (1, 2, 3):
+                # at base 1 a chain of subsets puts each of the n coordinates at
+                # one depth 0..s: the coefficients of (1 + x + ... + x^s)^n
+                depths = [1]
+                for _ in range(n):
+                    depths = [sum(depths[max(0, i - s) : i + 1]) for i in range(len(depths) + s)]
+                for ell in range(n * s + 1):
+                    value = q_multinomial(n, ell, s, base)
+                    assert type(value) is int
+                    assert value == naive_q_multinomial(n, ell, s, base), (n, s, ell)
+                    assert base == -1 or value == depths[ell], (n, s, ell)
+            for k in range(n + 1):
+                row = sum(pascal[k][mu] * base ** ((n - k) * mu) for mu in range(k + 1))
+                assert _chain_sum(n, base, 2, range(k, k + 1), None) == pascal[n][k] * row
+
     def test_short_chains_build_no_table(self, monkeypatch):
         built = []
         pascal = qseries._q_pascal
         monkeypatch.setattr(qseries, "_q_pascal", lambda rows, base: built.append(rows) or pascal(rows, base))
-        for base in (2, Fraction(3, 2)):
+        for base in (2, Fraction(3, 2), 1, -1):
             for s in (1, 2):
                 q_multinomial(20, 15, s, base)
                 _chain_sum(20, base, s, range(12, 13), None)

@@ -132,14 +132,6 @@ class TestMatrixType:
         assert _types(np.zeros((5, 0, 3), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
         assert _types(np.zeros((5, 3, 0), dtype=np.int64), Z9).tolist() == [[0, 0]] * 5
 
-    def test_valuation_table_equals_divisibility_tests(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        stacks = [(ring, rng.integers(0, ring.modulus, size=(200, 3, 4))) for ring in (Z4, Z8, Z9, Z27)]
-        tabled = [_types(mats, ring) for ring, mats in stacks]
-        monkeypatch.setattr(simulate, "_VALUATION_TABLE", 0)
-        for (ring, mats), types in zip(stacks, tabled):
-            assert (_types(mats, ring) == types).all()
-
     def test_empty_stack(self):
         types = _types(np.zeros((0, 2, 3), dtype=np.int64), Z9)
         assert types.shape == (0, 2)
