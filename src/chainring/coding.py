@@ -40,20 +40,32 @@ _TABLE_SIZE = 1 << 17
 
 @dataclass(frozen=True)
 class WeightModel:
-    """A symbol-weight table with its integer-grid scaling."""
+    """A symbol-weight table on its integer grid: symbol x weighs int_weights[x] / scale."""
 
     kind: str
     ring: ConcreteRing
-    symbol_weights: tuple[Fraction, ...]
     scale: int
     int_weights: tuple[int, ...]
-    max_symbol_weight: Fraction
-    eta: Fraction
 
     def __hash__(self) -> int:
-        # equal models agree on these three, and hashing the p^s-entry tables
+        # equal models agree on these three, and hashing the p^s-entry table
         # on every cache lookup would cost more than most lookups save
         return hash((self.kind, self.ring, self.scale))
+
+    @property
+    def symbol_weights(self) -> tuple[Fraction, ...]:
+        """The weight of each symbol; symbols of equal weight share one Fraction."""
+        fractions = [Fraction(w, self.scale) for w in range(max(self.int_weights) + 1)]
+        return tuple(map(fractions.__getitem__, self.int_weights))
+
+    @property
+    def max_symbol_weight(self) -> Fraction:
+        return Fraction(max(self.int_weights), self.scale)
+
+    @property
+    def eta(self) -> Fraction:
+        """Largest over least nonzero symbol weight."""
+        return Fraction(max(self.int_weights), min(self.int_weights[1:]))
 
     def max_weight(self, n: int) -> Fraction:
         """Largest weight a length-n tuple can have."""
@@ -67,7 +79,7 @@ class WeightModel:
         homogeneous (1/2 on Z/4, 2/3 on Z/9).  For Lee it is 1/2 when p^s is
         even and (t+1)/(2t+1) when p^s = 2t+1 (3/5 on Z/5, 5/9 on Z/9).
         """
-        return float(Fraction(sum(self.symbol_weights), self.ring.modulus) / self.max_symbol_weight)
+        return float(Fraction(sum(self.int_weights), self.ring.modulus * max(self.int_weights)))
 
 
 @lru_cache(maxsize=8)
@@ -92,19 +104,7 @@ def make_weight_model(kind: str, ring: ConcreteRing) -> WeightModel:
         int_weights = tuple(0 if x == 0 else ring.p if x % ideal == 0 else scale for x in range(mod))
     else:
         raise ParameterError(f"unknown weight kind {kind!r}; expected one of {KINDS}")
-
-    # one Fraction per distinct weight, shared by the symbols that have it
-    top = max(int_weights)
-    fractions = [Fraction(w, scale) for w in range(top + 1)]
-    return WeightModel(
-        kind=kind,
-        ring=ring,
-        symbol_weights=tuple(map(fractions.__getitem__, int_weights)),
-        scale=scale,
-        int_weights=int_weights,
-        max_symbol_weight=fractions[top],
-        eta=Fraction(top, min(int_weights[1:])),
-    )
+    return WeightModel(kind=kind, ring=ring, scale=scale, int_weights=int_weights)
 
 
 @dataclass(frozen=True)

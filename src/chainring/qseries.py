@@ -10,7 +10,6 @@ k in {0, n}; the empty Pochhammer product is 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -115,6 +114,12 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
 TOTAL_BUDGET = 1 << 37
 
 
+def _unit_bits(base) -> float:
+    """Bits per unit of exponent at a base a/c: log2(max(|a|, c)) numerator, log2(c) denominator."""
+    ratio = Fraction(base)
+    return math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
+
+
 def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
     """Raise BudgetExceededError if an exact count would cost more than TOTAL_BUDGET.
 
@@ -124,13 +129,12 @@ def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
     dividing a product below 4 base^(k (m - k)) by factors of at most
     m log2(base) bits, so a step costs the product's bits times the factor's
     64-bit words.  The power and the products that join the factors each
-    cost about b (b/64)^0.585 for a result of b bits (Karatsuba).  At a base
-    a/c a unit of exponent costs bits as in _check_total_budget.  Measured
+    cost about b (b/64)^0.585 for a result of b bits (Karatsuba).  A unit of
+    exponent costs _unit_bits(base) bits.  Measured
     on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
     3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
     """
-    ratio = Fraction(base)
-    unit = math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
+    unit = _unit_bits(base)
     bits = exponent * unit
     factors += 1 if exponent else 0
     cost = 0.0
@@ -218,10 +222,9 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
     length constraint reads one.  The largest value is below
     4^s (rows+1)^s b^E at an integer base b, where E bounds
     sum_i mu_i (n - mu_i) over the chains, because [m, k]_b < 4 b^(k (m - k))
-    and there are at most (rows+1)^s chains.  At a base a/c a unit of E
-    costs log2(max(a, c)) bits of numerator and log2(c) of denominator.
-    At s <= 2 the sum builds no table but is charged as if it did, so that
-    no input moves between admitted and refused.
+    and there are at most (rows+1)^s chains.  A unit of E costs
+    _unit_bits(base) bits.  At s <= 2 the sum builds no table but is charged
+    as if it did, so that no input moves between admitted and refused.
     """
     rows = first[-1]
 
@@ -234,9 +237,7 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
     for t in range(1, s - 1):  # positions 3..s
         terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
     exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
-    ratio = Fraction(base)
-    unit = math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
-    bits = math.ceil(exponent * unit) + s * (2 + (rows + 1).bit_length())
+    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
     if terms * bits > TOTAL_BUDGET:
         raise BudgetExceededError(
             f"exact total at n={n}, s={s} needs about {terms * bits:.2g} bit operations, "
@@ -250,49 +251,94 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     A chain is weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i),
     which at a prime power base counts the submodules of that shape; with
     ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
-    At s <= 2 the sum reads one binomial row or one diagonal, walked by ratio
-    steps (_short_chain_sum).  Deeper sums read whole row segments: their
-    suffix sums are memoised on (position, mu_{i-1}, what remains), so each is
-    built once from the q-Pascal rows up to max(first), which is all the sum
-    reads below position 1.
+    Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
+    what remains) and summed by Horner in base^(n - mu_{i-1}); under a length
+    the last two parts are one _diagonal, so s = 2 is that diagonal below n.
+    At s >= 3 the middle positions read row segments of every row up to
+    max(first), again and again, so those rows are built once as a q-Pascal
+    table.  At s <= 2 the walk reads one row (rank) or one diagonal (length),
+    which would not repay a quadratic table: row K of a rank sum is walked by
+    _binomial_row, and every other entry comes from gaussian_binomial.
     """
     _check_total_budget(n, base, s, first, remaining)
-    if s <= 2:
-        return _short_chain_sum(n, base, s, first, remaining)
-    rows = first[-1]
-    pascal = _q_pascal(rows, base)
+    if remaining is not None and first[-1] < n:
+        # the walk reads [n, mu] in decreasing mu, and at s = 2 only
+        # [n, first[0]]; charge every one up front, smallest first, so that a
+        # long thin sum is refused at once, on the first binomial over budget
+        for mu in first:
+            _check_count_budget(base, [(n, mu)], 0)
+    pascal = _q_pascal(first[-1], base) if s >= 3 else []
     memo: dict[tuple, int | Fraction] = {}
 
     def suffix(pos: int, prev: int, remaining: int | None):
-        if pos > s:
-            return 0 if remaining else 1
         key = (pos, prev, remaining)
         if key in memo:
             return memo[key]
-        if remaining is None:
+        if pos == 1:
+            lo, hi = first[0], first[-1]
+        elif remaining is None:
             lo, hi = 0, prev
         else:
             # weak decrease bounds the part by prev, and the s - pos parts still to
             # come, each at most the part chosen now, must absorb what remains
             lo = -(-remaining // (s - pos + 1))
             hi = min(prev, remaining)
-        row = pascal[prev]
+        if remaining is not None and pos == s - 1:
+            memo[key] = total = _diagonal(n, base, prev, remaining, lo, hi, pascal)
+            return total
+        parts = range(hi, lo - 1, -1)
+        if prev < len(pascal):
+            binomials = reversed(pascal[prev][lo : hi + 1])
+        elif pos > 1 and base not in (1, -1):
+            # a rank sum's last row at s = 2, walked from [prev, 0] = [prev, prev]
+            binomials = _binomial_row(prev, base)
+        else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
+            binomials = (gaussian_binomial(prev, mu, base) for mu in parts)
         x = base ** (n - prev)
         total = 0
-        for mu in range(hi, lo - 1, -1):  # Horner in x
-            rest = suffix(pos + 1, mu, None if remaining is None else remaining - mu)
-            total = total * x + row[mu] * rest
+        for mu, binomial in zip(parts, binomials):  # Horner in x
+            if pos < s:  # past the last part the suffix is 1: lo and hi leave nothing over
+                binomial *= suffix(pos + 1, mu, None if remaining is None else remaining - mu)
+            total = total * x + binomial
         if total and lo:
             total *= x ** lo
         memo[key] = total
         return total
 
-    top = pascal[n] if n <= rows else None
-    result = 0
-    for mu in first:
-        binomial = gaussian_binomial(n, mu, base) if top is None else top[mu]
-        result += binomial * suffix(2, mu, None if remaining is None else remaining - mu)
-    return result
+    return suffix(1, n, remaining)
+
+
+def _diagonal(n: int, base, prev: int, ell: int, lo: int, hi: int, pascal: list):
+    """The last two parts (mu, ell - mu) of a length sum below prev, lo <= mu <= hi.
+
+    The pair weighs T(mu) b^((n - prev) mu + (n - mu)(ell - mu)), where
+    T(mu) = [prev, mu] [mu, ell - mu] is the q-trinomial
+    (q)_prev / ((q)_j (q)_(mu-j) (q)_(prev-mu)), j = ell - mu,
+    (q)_m = prod_{i<=m} (b^i - 1).  So
+    T(mu + 1) = T(mu) (b^j - 1)(b^(prev-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)),
+    and the powers fold in by Horner: b^(prev+ell-2mu-1) between T(mu) and
+    T(mu + 1), and b^((n - prev) hi + (n - hi)(ell - hi)) once at the end.
+    With a q-Pascal table (s >= 3) each T(mu) is two lookups and no division.
+    With none (s = 2) T(lo) comes from gaussian_binomial and the rest by the
+    ratio, which divides by b^i - 1, so at the bases 1 and -1 every T(mu)
+    comes from gaussian_binomial.
+    """
+    lookup = bool(pascal) or base in (1, -1)
+
+    def binomial(m: int, k: int):
+        return pascal[m][k] if pascal else gaussian_binomial(m, k, base)
+
+    term = binomial(prev, lo) * binomial(lo, ell - lo)
+    total = term
+    for mu in range(lo, hi):  # T(mu) -> T(mu + 1)
+        j = ell - mu
+        if lookup:
+            term = binomial(prev, mu + 1) * binomial(mu + 1, j - 1)
+        else:
+            num = (base ** j - 1) * (base ** (prev - mu) - 1)
+            term = _exact_ratio(term, num, (base ** (mu - j + 1) - 1) * (base ** (mu - j + 2) - 1))
+        total = total * base ** (prev + ell - 2 * mu - 1) + term
+    return total * base ** ((n - prev) * hi + (n - hi) * (ell - hi))
 
 
 def _exact_ratio(value, num, den):
@@ -307,54 +353,6 @@ def _binomial_row(m: int, base):
     for k in range(m):
         value = _exact_ratio(value, base ** (m - k) - 1, base ** (k + 1) - 1)
         yield value
-
-
-def _short_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
-    """_chain_sum at s <= 2, from ratio steps along one row or diagonal, with no table.
-
-    At s = 1 each chain is [n, mu_1] alone.  At s = 2 with mu_1 = K the
-    suffix is sum_mu [K, mu] x^mu, x = b^(n - K), by Horner along row K.
-    With the length ell fixed, a chain (mu, j = ell - mu) weighs
-    T(mu) b^((n - mu) j), where T(mu) = [n, mu] [mu, j] is the q-trinomial
-    (q)_n / ((q)_j (q)_(mu-j) (q)_(n-mu)), (q)_m = prod_{i<=m} (b^i - 1).  So
-    T(mu + 1) = T(mu) (b^j - 1)(b^(n-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)),
-    and the powers fold in by Horner: b^(n+ell-2mu-1) between T(mu) and
-    T(mu + 1), and b^((n - hi)(ell - hi)) once at the end.  The ratios divide
-    by b^i - 1, so at the bases 1 and -1 the chains are summed one by one.
-    """
-    if s == 1:
-        return sum(gaussian_binomial(n, mu, base) for mu in first)
-    if base in (1, -1):  # every power is 1 or -1
-        return sum(
-            gaussian_binomial(n, mu, base) * gaussian_binomial(mu, k, base) * base ** ((n - mu) * k)
-            for mu in first
-            for k in (range(mu + 1) if remaining is None else (remaining - mu,))
-        )
-    if remaining is None:
-        total = 0
-        for mu in first:
-            x = base ** (n - mu)
-            inner = 0
-            for binomial in _binomial_row(mu, base):  # [mu, k] = [mu, mu - k]: Horner from the top
-                inner = inner * x + binomial
-            total += gaussian_binomial(n, mu, base) * inner
-        return total
-    ell, lo, hi = remaining, first[0], first[-1]
-    if hi < n:
-        # the table-free walk reads no gaussian_binomial(n, mu); keep the
-        # refusals those calls make, in the same order
-        for mu in first:
-            _check_count_budget(base, [(n, mu)], 0)
-    # [n, lo] from the nearer end of row n; lo - (ell - lo) is 0 or 1
-    term = next(itertools.islice(_binomial_row(n, base), min(lo, n - lo), None))
-    term *= gaussian_binomial(lo, ell - lo, base)
-    total = term
-    for mu in range(lo, hi):  # T(mu) -> T(mu + 1)
-        j = ell - mu
-        num = (base ** j - 1) * (base ** (n - mu) - 1)
-        term = _exact_ratio(term, num, (base ** (mu - j + 1) - 1) * (base ** (mu - j + 2) - 1))
-        total = total * base ** (n + ell - 2 * mu - 1) + term
-    return total * base ** ((n - hi) * (ell - hi))
 
 
 def balanced_multinomial(n: int, m, s: int, base) -> ApproxReal:

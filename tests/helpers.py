@@ -122,6 +122,29 @@ def naive_q_multinomial(n: int, ell: int, s: int, base):
     return total
 
 
+def naive_chain_sum(n: int, base, s: int, first, remaining: int | None):
+    """Chain-by-chain reference for ``qseries._chain_sum``.
+
+    Every weakly decreasing chain n >= mu_1 >= ... >= mu_s >= 0 with mu_1 in
+    ``first`` (and mu_1 + ... + mu_s = remaining when that is set) adds
+    prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), mu_0 = n.
+    """
+    from chainring.qseries import gaussian_binomial
+
+    total = 0
+    for mu1 in first:
+        # a descending pool makes every combination a weakly decreasing tail
+        for tail in itertools.combinations_with_replacement(range(mu1, -1, -1), s - 1):
+            chain = (n, mu1) + tail
+            if remaining is not None and sum(chain) - n != remaining:
+                continue
+            term = 1
+            for prev, mu in zip(chain, chain[1:]):
+                term *= gaussian_binomial(prev, mu, base) * base ** ((n - prev) * mu)
+            total += term
+    return total
+
+
 def cartan_matrix_form(kvec, s: int) -> Fraction:
     """v C^{-1} v^T summed entry by entry, C^{-1}_{ij} = min(i, j) - ij/s."""
     return sum(

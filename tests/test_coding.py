@@ -109,15 +109,14 @@ class TestWeightModels:
             }[kind]
             scale = math.lcm(*(w.denominator for w in weights))
             nonzero = weights[1:]
-            return WeightModel(
-                kind, ring, tuple(weights), scale, tuple(int(w * scale) for w in weights),
-                max(weights), max(nonzero) / min(nonzero),
-            )
+            model = WeightModel(kind, ring, scale, tuple(int(w * scale) for w in weights))
+            return model, (tuple(weights), max(weights), max(nonzero) / min(nonzero))
 
         for ring in SMALL_RINGS:
             for kind in KINDS:
-                model, expected = make_weight_model(kind, ring), reference(kind, ring)
+                model, (expected, derived) = make_weight_model(kind, ring), reference(kind, ring)
                 assert model == expected, (kind, ring)
+                assert (model.symbol_weights, model.max_symbol_weight, model.eta) == derived, (kind, ring)
                 assert all(type(w) is Fraction for w in model.symbol_weights)
                 assert type(model.max_symbol_weight) is type(model.eta) is Fraction
 
@@ -388,11 +387,8 @@ class TestMinDistance:
         wide = WeightModel(
             kind=LEE,
             ring=Z8,
-            symbol_weights=lee.symbol_weights,
             scale=1 << 30,
             int_weights=tuple(w << 30 for w in lee.int_weights),
-            max_symbol_weight=lee.max_symbol_weight,
-            eta=lee.eta,
         )
         rng = random.Random(41)
         for _ in range(20):
@@ -405,11 +401,8 @@ class TestMinDistance:
         asym = WeightModel(
             kind="asym",
             ring=Z8,
-            symbol_weights=tuple(Fraction(x) for x in range(8)),
             scale=1,
             int_weights=tuple(range(8)),
-            max_symbol_weight=Fraction(7),
-            eta=Fraction(7),
         )
         assert min_distance_exhaustive(ring_matrix(Z8, [[7]]), asym) == 1
         assert min_distance_exhaustive(ring_matrix(Z8, [[7, 6]]), asym) == 3

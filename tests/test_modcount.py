@@ -242,6 +242,17 @@ class TestTotalBudget:
             tracemalloc.stop()
         assert peak < 64 << 20
 
+    def test_depth_two_rank_total_keeps_no_row(self):
+        # row K is walked by ratio steps and dropped as it goes; kept as a
+        # list, row 990 at q = 2 took about 20 MiB
+        tracemalloc.start()
+        try:
+            total_by_rank.__wrapped__(1000, ChainRingSpec(q=2, s=2), 990)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_depth_two_total_keeps_binomial_refusals(self):
         # [30000, 100]_2 alone is over the count budget though the chain sum is
         # not; the sum reads no such binomial now, but still refuses, at once

@@ -18,7 +18,7 @@ from chainring.qseries import (
     q_multinomial,
 )
 
-from helpers import f2_subspace_count, naive_q_multinomial
+from helpers import f2_subspace_count, naive_chain_sum, naive_q_multinomial
 
 HALF = Fraction(1, 2)
 
@@ -191,6 +191,21 @@ class TestQMultinomial:
                 row = sum(gaussian_binomial(k, mu, base) * base ** ((n - k) * mu) for mu in range(k + 1))
                 assert _chain_sum(n, base, 1, range(k, k + 1), None) == gaussian_binomial(n, k, base)
                 assert _chain_sum(n, base, 2, range(k, k + 1), None) == gaussian_binomial(n, k, base) * row
+
+    @pytest.mark.parametrize("base", [2, 3, HALF, Fraction(3, 2), Fraction(2, 3), 1, -1])
+    def test_every_depth_matches_chains(self, base):
+        # deep length sums end in a diagonal below prev < n; the reference
+        # weighs each chain on its own
+        kind = int if isinstance(base, int) else Fraction
+        for s, top in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 5)):
+            for n in range(top + 1):
+                for ell in range(n * s + 1):
+                    value = q_multinomial(n, ell, s, base)
+                    assert type(value) is kind
+                    assert value == naive_chain_sum(n, base, s, range(n + 1), ell), (n, s, ell)
+                for k in range(n + 1):
+                    rank = range(k, k + 1)
+                    assert _chain_sum(n, base, s, rank, None) == naive_chain_sum(n, base, s, rank, None), (n, s, k)
 
     @pytest.mark.parametrize("base", [1, -1])
     def test_unit_bases(self, base):
