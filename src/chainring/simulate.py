@@ -91,47 +91,79 @@ def valuation(x: int, ring: ConcreteRing) -> int:
     return v
 
 
+_WORK_DTYPES = tuple((t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def _work_dtype(mod: int):
+    """The narrowest signed integer type that holds every (mod - 1)^2, else object."""
+    return next((t for t, top in _WORK_DTYPES if (mod - 1) ** 2 <= top), object)
+
+
 def _types(mats, ring: ConcreteRing) -> np.ndarray:
     """Types of the row spans of a (B, m, n) stack, one row of s counts each.
 
     Diagonal reduction of the whole stack at once.  At each step the pivot is
-    the row-major first entry of least valuation v in the remaining block,
-    swapped to its corner.  It is u p^v with u a unit, and every entry below
-    it is some w p^v, so row <- u row - w pivot_row clears the column without
-    any inverse; scaling a row by a unit keeps the span.  Clearing the pivot
-    row is skipped: it never changes the block later steps read.  Each pivot
-    p^v with v < s is one cyclic summand of length s - v.  While p^s < 2^31 the
-    entries are int64 and every product stays below 2^62; larger moduli use
-    Python ints.  The valuation of x counts the k in 1..s with p^k | x, so the
-    zero element has valuation s.
+    the row-major first entry of least valuation v in the remaining block.  It
+    is u p^v with u a unit, and every entry of the block is a multiple of p^v,
+    so for a row whose entry in the pivot column is w p^v, row <- u row - w
+    pivot_row clears that entry without any inverse; scaling a row by a unit
+    keeps the span.  This update, run on the whole block, leaves the pivot row
+    and column zero; row 0 and column 0 then move into them and the first row
+    and column drop out, as if the pivot had been swapped to the corner.  Each
+    pivot p^v with v < s is one cyclic summand of length s - v.
+
+    The stack is held batch-last, (m, n, B), so each operation is one long
+    loop over the batch, and one-hot masks pick the pivot row and column.
+    Entries outside [0, p^s) are reduced first.  The work is held in the
+    narrowest signed integer type that holds every |u a - w b| <= (p^s - 1)^2:
+    int8 up to p^s = 11, int16 up to 181, int32 up to 46337, int64 up to about
+    3.0e9, Python ints above.  Residues and divisibility tests are floor
+    divisions by a scalar, x - x // p^s * p^s and x // p^k * p^k == x, which
+    numpy runs far faster than %.  The valuation of x counts the k in 1..s
+    with p^k | x, so the zero element has valuation s.
     """
     p, s, mod = ring.p, ring.s, ring.modulus
-    dtype = np.int64 if mod < 1 << 31 else object
-    work = np.asarray(mats, dtype=dtype) % mod
+    dtype = _work_dtype(mod)
+    work = np.asarray(mats)
+    wide = object if dtype is object or work.dtype == object else np.int64
+    work = work.astype(wide, copy=False)
     batch_size, m, n = work.shape
-    batch = np.arange(batch_size)
+    if work.size and not (0 <= work.min() and work.max() < mod):
+        work = work - work // mod * mod
+    work = np.ascontiguousarray(work.transpose(1, 2, 0), dtype=dtype)
     powers = np.array([p ** k for k in range(s + 1)], dtype=dtype)
     pivots = []
     for _ in range(min(m, n)):
-        rows, cols = work.shape[1:]
-        val = np.zeros(work.shape, dtype=np.min_scalar_type(s))
+        rows, cols = work.shape[:2]
+        size = rows * cols
+        # valuation * size + row-major position: its minimum is the pivot
+        key = np.zeros(work.shape, dtype=np.min_scalar_type((s + 1) * size))
         for power in powers[1:]:
-            val += work % power == 0
-        i0, j0 = np.divmod(val.reshape(batch_size, rows * cols).argmin(axis=1), cols)
-        v = val[batch, i0, j0]
+            key += work // power * power == work
+        key *= size
+        key += np.arange(size, dtype=key.dtype).reshape(rows, cols, 1)
+        least = key.reshape(size, batch_size).min(axis=0)
+        v = least // size
         pivots.append(v)
-        top = work[:, 0].copy()
-        work[:, 0] = work[batch, i0]
-        work[batch, i0] = top
-        left = work[:, :, 0].copy()
-        work[:, :, 0] = work[batch, :, j0]
-        work[batch, :, j0] = left
-        # the pivot column over p^v: the unit u on top, the multipliers w below
-        col = work[:, :, :1] // powers[v][:, None, None]
-        work = (col[:, :1] * work[:, 1:, 1:] - col[:, 1:] * work[:, :1, 1:]) % mod
-    # a pivot of valuation v < s is one summand, at type position i = v + 1
-    pivots = np.array(pivots, dtype=np.int64).reshape(len(pivots), batch_size).T
-    return (pivots[:, :, None] == np.arange(s)).sum(axis=1)
+        hit = key == least  # one-hot: the pivot's position in each matrix
+        at_row = hit.any(axis=1)
+        at_col = hit.any(axis=0)
+        top = (work * at_row[:, None]).sum(axis=0, dtype=dtype)
+        # the pivot column over p^v: the unit u in the pivot row, the multipliers w in the others
+        col = (work * at_col).sum(axis=1, dtype=dtype)
+        col //= powers[v]
+        unit = (col * at_row).sum(axis=0, dtype=dtype)
+        work = unit * work - col[:, None] * top
+        # the pivot row and column are now zero: row 0 and column 0 move into them
+        work = work[1:] + at_row[1:, None] * work[:1]
+        work = work[:, 1:] + at_col[1:] * work[:, :1]
+        work -= work // mod * mod
+    # a pivot of valuation v < s is one summand, at type position i = v + 1:
+    # count each (matrix, v) and drop v = s, the zero pivots
+    pivots = np.array(pivots, dtype=np.int64).reshape(len(pivots), batch_size)
+    cells = (pivots + (s + 1) * np.arange(batch_size)).ravel()
+    counts = np.bincount(cells, minlength=(s + 1) * batch_size)
+    return counts.reshape(batch_size, s + 1)[:, :s]
 
 
 def _tally(types: np.ndarray) -> dict[tuple[int, ...], int]:
@@ -215,8 +247,7 @@ def enumerate_submodules(ring: ConcreteRing, n: int) -> TypeCensus:
     ``SPAN_BUDGET`` bounds the (p^s)^n elements of R^n that every membership
     array holds.  Both are checked before any work.
     """
-    if n < 0:
-        raise ParameterError(f"n must be nonnegative, got {n}")
+    modcount._check_nonnegative(n=n)
     p, mod = ring.p, ring.modulus
     if mod ** (n * n) > CENSUS_BUDGET:
         raise BudgetExceededError(f"{mod}^{n * n} generator matrices exceed budget {CENSUS_BUDGET}")
@@ -278,6 +309,7 @@ def sample_matrix(m: int, n: int, ring: ConcreteRing, seed: int, stream: int = 0
 
     Generator: numpy PCG64 seeded with SeedSequence(seed, spawn_key=(stream,)).
     """
+    modcount._check_nonnegative(m=m, n=n)
     rng = _generator(seed, stream)
     entries = rng.integers(0, ring.modulus, size=(m, n), dtype=np.int64)
     return RingMatrix(ring=ring, entries=tuple(map(tuple, entries.tolist())))
@@ -302,6 +334,7 @@ def monte_carlo_type_distribution(
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    modcount._check_nonnegative(m=m, n=n)
     counts: Counter = Counter()
     for stream, lo in enumerate(range(0, trials, _MC_CHUNK)):
         count = min(_MC_CHUNK, trials - lo)

@@ -32,6 +32,14 @@ Z9 = ConcreteRing(p=3, s=2)
 Z27 = ConcreteRing(p=3, s=3)
 
 
+# (p, s) on both sides of each edge of the reduction's working type: int8 | int16
+# at p^s = 11 | 13, int16 | int32 at 181 | 191 (169 inside), int32 | int64 at
+# 46337 | 46349, int64 | Python ints at 2^31 | 2^32 and at 3^19 | 3^20
+DTYPE_EDGES = [
+    (11, 1), (13, 1), (13, 2), (181, 1), (191, 1), (46337, 1), (46349, 1), (2, 31), (2, 32), (3, 19), (3, 20)
+]
+
+
 def random_entries(rng, ring, m, n):
     """Entries with random valuations, so that every type shows up."""
     return [[rng.randrange(ring.modulus) * ring.p ** rng.randint(0, ring.s) % ring.modulus for _ in range(n)] for _ in range(m)]
@@ -91,14 +99,19 @@ class TestMatrixType:
             mat = ring_matrix(ring, random_entries(rng, ring, rng.randint(1, 3), rng.randint(1, 3)))
             assert matrix_type(mat) == span_type(row_span(mat), ring.p, ring.s), mat.entries
 
-    def test_batch_equals_one_at_a_time(self):
+    @pytest.mark.parametrize("p,s", [(2, 3), (3, 3), (2, 40), *DTYPE_EDGES])
+    def test_batch_equals_one_at_a_time(self, p, s):
+        ring = ConcreteRing(p=p, s=s)
         rng = random.Random(31)
-        for ring in (Z8, Z27, ConcreteRing(p=2, s=40)):
-            rows = [random_entries(rng, ring, 3, 4) for _ in range(300)]
-            expected = [matrix_type(ring_matrix(ring, r)) for r in rows]
-            assert [tuple(t) for t in _types(np.array(rows, dtype=object), ring).tolist()] == expected
+        rows = [random_entries(rng, ring, 3, 4) for _ in range(200)]
+        expected = [matrix_type(ring_matrix(ring, r)) for r in rows]
+        # the same residues, some negative or past p^s
+        shifted = [[[x + ring.modulus * rng.randint(-2, 2) for x in row] for row in r] for r in rows]
+        for dtype in (object, np.int64) if ring.modulus < 1 << 61 else (object,):
+            for stack in (rows, shifted):
+                assert [tuple(t) for t in _types(np.array(stack, dtype=dtype), ring).tolist()] == expected
 
-    @pytest.mark.parametrize("p,s", [(2, 70), (3, 45)])
+    @pytest.mark.parametrize("p,s", [(2, 70), (3, 45), *DTYPE_EDGES])
     def test_object_path_counts_diagonal_valuations(self, p, s):
         # U diag(p^v_i) V with unit-triangular U, V has the v_i as its invariants
         ring = ConcreteRing(p=p, s=s)
@@ -111,15 +124,31 @@ class TestMatrixType:
         def product(a, b):
             return [[sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)] for row in a]
 
-        for _ in range(50):
-            m, n = rng.randint(1, 4), rng.randint(1, 4)
+        def known(m, n):
+            """Two m x n matrices U D V, one upper and one lower, and their type."""
             vals = [rng.randint(0, s) for _ in range(min(m, n))]
             diag = [[p ** vals[i] % mod if i == j else 0 for j in range(n)] for i in range(m)]
             upper = product(product(unit_triangular(m), diag), unit_triangular(n))
             lower = product(product(list(zip(*unit_triangular(m))), diag), list(zip(*unit_triangular(n))))
-            expected = tuple(vals.count(v) for v in range(s))
+            return upper, lower, tuple(vals.count(v) for v in range(s))
+
+        for _ in range(50):
+            upper, lower, expected = known(rng.randint(1, 4), rng.randint(1, 4))
             assert matrix_type(ring_matrix(ring, upper)) == expected
             assert matrix_type(ring_matrix(ring, lower)) == expected
+        # one stack as Python ints, and as int64 where the entries fit
+        stack = [known(3, 4) for _ in range(40)]
+        mats = [mat for upper, lower, _ in stack for mat in (upper, lower)]
+        expected = [t for *_, t in stack for _ in range(2)]
+        for dtype in (object, np.int64) if mod < 1 << 63 else (object,):
+            assert [tuple(t) for t in _types(np.array(mats, dtype=dtype), ring).tolist()] == expected
+
+    def test_work_dtype_edges(self):
+        # the narrowest type that holds every |u a - w b| <= (p^s - 1)^2
+        moduli = (11, 13, 169, 181, 191, 46337, 46349, 2 ** 31, 3 ** 19, 3 ** 20, 2 ** 32)
+        assert [simulate._work_dtype(mod) for mod in moduli] == [
+            np.int8, np.int16, np.int16, np.int16, np.int32, np.int32, np.int64, np.int64, np.int64, object, object
+        ]
 
     def test_edge_shapes(self):
         # tall, wide, zero rows and no rows
@@ -289,6 +318,16 @@ class TestSampling:
         assert a.entries == b.entries
         assert a.entries != c.entries
 
+    @pytest.mark.parametrize(
+        "m,n,message", [(-1, 2, "m must be nonnegative, got -1"), (2, -3, "n must be nonnegative, got -3")]
+    )
+    def test_rejects_negative_sizes(self, m, n, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            sample_matrix(m, n, Z4, seed=1)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            monte_carlo_type_distribution(m, n, Z4, 10, seed=1)
+        assert monte_carlo_type_distribution(0, 3, Z4, 10, seed=1).counts == {(0, 0): 10}
+
     def test_entry_histogram_uniform(self):
         mat = sample_matrix(1000, 100, Z4, seed=99)
         flat = [x for row in mat.entries for x in row]
@@ -329,6 +368,17 @@ class TestMonteCarlo:
             p = float(unimodular_probability(k, n, ring.spec()))
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(census.counts.get(free, 0) / trials - p) < 4 * sigma
+
+    def test_tallies_pinned(self):
+        # any change to the draws or to the reduction moves these counts
+        census = monte_carlo_type_distribution(4, 4, Z8, 12000, seed=1)
+        assert census.counts == {
+            (1, 1, 1): 3, (1, 1, 2): 2, (1, 2, 0): 13, (1, 2, 1): 9, (1, 3, 0): 12,
+            (2, 0, 0): 4, (2, 0, 1): 45, (2, 0, 2): 31, (2, 1, 0): 408, (2, 1, 1): 376,
+            (2, 2, 0): 472, (3, 0, 0): 1674, (3, 0, 1): 1748, (3, 1, 0): 3533, (4, 0, 0): 3670,
+        }
+        census = monte_carlo_type_distribution(6, 6, Z9, 4000, seed=1)
+        assert census.counts == {(4, 1): 34, (4, 2): 51, (5, 0): 543, (5, 1): 1135, (6, 0): 2237}
 
     def test_deterministic_and_parallel_equal(self):
         a = monte_carlo_type_distribution(2, 2, Z4, 9000, seed=5)
