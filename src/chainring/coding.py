@@ -6,14 +6,15 @@ Three weights are supported, each extended additively to tuples: Hamming
 (p/(p-1) on the nonzero elements of the minimal ideal, 1 elsewhere except 0).
 Symbol weights may be rational, so they are scaled by their common
 denominator onto an integer grid; ball volumes are exact big-integer counts
-computed as one big-integer power on that grid, and all radius comparisons
-happen on the grid with no floating point involved.
+on that grid, read coefficient by coefficient off a short linear recurrence
+with one exact division per coefficient, and all radius comparisons happen on
+the grid with no floating point involved.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -23,7 +24,7 @@ import numpy as np
 from .approx import ApproxReal
 from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
-from .qseries import _exact_product
+from .qseries import _check_count_budget
 from .simulate import ConcreteRing, RingMatrix, _all_vectors, _types, sample_matrix
 
 HAMMING = "hamming"
@@ -122,23 +123,53 @@ class BallProfile:
 
 @lru_cache(maxsize=64)
 def ball_profile(n: int, model: WeightModel) -> BallProfile:
-    """Exact weight distribution of R^n: the coefficients of h(z)^n.
+    """Exact weight distribution of R^n: the running sums of the coefficients of h(z)^n.
 
-    h(z) is the symbol histogram, sum_x z^(int_weights[x]).  Its n-th power
-    is one big-integer power (Kronecker substitution): every coefficient of
-    h(z)^n is at most h(1)^n = (p^s)^n, so slots of bytes wide enough for
-    (p^s)^n never carry into each other.  The power is charged to
-    ``qseries.TOTAL_BUDGET`` like any exact power; over it,
-    BudgetExceededError is raised.
+    h(z) = sum_x z^(int_weights[x]) is the symbol histogram.  With its least
+    weight factored out, h = z^low f and f(0) > 0, the profile past the
+    leading zeros is C = f^n / (1 - z).  With g = (1 - z) f, which has at most
+    five terms for the built-in weights (Lee: 1 + z - z^t - z^(t+1) on Z/2t),
+    C satisfies (1 - z) g C' = (n (1 - z) g' + (n + 1) g) C, and its
+    coefficient of z^(k-1) reads, with m = n + 1,
+
+        k g_0 C_k = sum_(j >= 1) (m j g_j - (m (j - 1) - n) g_(j-1) - k (g_j - g_(j-1))) C_(k-j),
+
+    from C_0 = g_0^n.  So each coefficient is a few multiples of earlier ones
+    by small integers and one exact division by k g_0, with no product of two
+    big integers: n (max(w) - low) steps on numbers of up to n log2(p^s) bits.
+
+    The charge to ``qseries.TOTAL_BUDGET`` is kept on purpose as that of the
+    former Kronecker power, h packed in slots wide enough for (p^s)^n and
+    raised to the n-th power, so that no input moves between admitted and
+    refused; it over-prices the recurrence.  Over it, BudgetExceededError is
+    raised before any work.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    slot = -(-(model.ring.modulus ** n).bit_length() // 8)
-    packed = sum(1 << (8 * slot * w) for w in model.int_weights)
-    width = max(model.int_weights) * n + 1
-    data = _exact_product(packed, [], n).to_bytes(slot * width, "little")
-    counts = (int.from_bytes(data[i : i + slot], "little") for i in range(0, len(data), slot))
-    return BallProfile(n=n, scale=model.scale, cumulative=tuple(itertools.accumulate(counts)))
+    counts = Counter(model.int_weights)
+    low, high = min(counts), max(counts)
+    # charged as h packed in slots that hold (p^s)^n, raised to the n-th power;
+    # at n = 0 nothing is charged whatever the slot, and a slot of p^s holds every count
+    slot = -(-(model.ring.modulus ** max(n, 1)).bit_length() // 8)
+    packed = b"".join(counts[w].to_bytes(slot, "little") for w in range(high + 1))
+    _check_count_budget(int.from_bytes(packed, "little"), [], n)
+    g = Counter()  # (1 - z) f
+    for w, c in counts.items():
+        g[w - low] += c
+        g[w - low + 1] -= c
+    m = n + 1
+    steps = [
+        (j, m * j * g[j] - (m * (j - 1) - n) * g[j - 1], g[j] - g[j - 1])
+        for j in sorted({i + d for i, c in g.items() if c for d in (0, 1)} - {0})
+    ]
+    lag = steps[-1][0]
+    cumulative = [0] * lag + [g[0] ** n]  # C_(k-j) is cumulative[-j] when C_k is appended
+    for k in range(1, n * (high - low) + 1):
+        total = 0
+        for j, alpha, beta in steps:
+            total += (alpha - k * beta) * cumulative[-j]
+        cumulative.append(total // (k * g[0]))
+    return BallProfile(n=n, scale=model.scale, cumulative=(0,) * (n * low) + tuple(cumulative[lag:]))
 
 
 def ball_volume(n: int, radius, model: WeightModel, closed: bool = True) -> int:

@@ -32,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
 from .errors import BudgetExceededError, NonconvergentError, ParameterError
@@ -387,7 +388,17 @@ TABLE2_GRID = (
 
 
 def table1_rows(policy: TruncationPolicy | None = None) -> tuple[tuple[int, int, DensityResult], ...]:
-    """Density sandwich for the standard grid s in {2,3,4} x q in {2,3,5,7,11}."""
+    """Density sandwich for the standard grid s in {2,3,4} x q in {2,3,5,7,11}.
+
+    The table is kept per policy, resolved from the environment at each call,
+    so a process that prints it in several formats evaluates its 45 series
+    once per policy.
+    """
+    return _table1_rows(policy or default_policy())
+
+
+@lru_cache(maxsize=4)
+def _table1_rows(policy: TruncationPolicy) -> tuple[tuple[int, int, DensityResult], ...]:
     return tuple((s, q, density_bounds(ChainRingSpec(q=q, s=s), policy)) for s, q in TABLE1_GRID)
 
 

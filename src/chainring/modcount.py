@@ -185,7 +185,10 @@ def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:
             if remaining <= room:
                 yield prefix + (remaining,)
             return
-        for k in range(0, min(remaining // part, room) + 1):
+        # the later positions hold parts of at most part - 1, and at most room - k
+        # of them, so a smaller k leaves a remainder that no suffix reaches
+        low = max(0, remaining - room * (part - 1))
+        for k in range(low, min(remaining // part, room) + 1):
             yield from descend(i + 1, remaining - k * part, room - k, prefix + (k,))
 
     yield from descend(0, ell, n, ())

@@ -157,7 +157,8 @@ def _exact_product(base, binomials, exponent: int, spans=()):
 
     Every closed-form count is one call, charged to TOTAL_BUDGET before any
     big-integer work.  A span is charged as sum(i) more exponent, the bits
-    of its factors, and hi - lo more factors joining the product.
+    of its factors, and hi - lo more factors joining the product; its
+    factors are joined by _tree_product.
     """
     span_exponent = sum((hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans)
     _check_count_budget(base, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
@@ -166,10 +167,24 @@ def _exact_product(base, binomials, exponent: int, spans=()):
         result *= gaussian_binomial(m, k, base)
     for lo, hi in spans:
         power = base ** lo
+        factors = []
         for _ in range(lo, hi):
             power *= base
-            result *= power - 1
+            factors.append(power - 1)
+        result *= _tree_product(factors)
     return result
+
+
+def _tree_product(factors: list):
+    """Product of ``factors``, joined pairwise level by level in a balanced tree.
+
+    Each product then has two operands of about equal size, where Karatsuba
+    pays; one factor at a time would multiply a growing product by one small
+    factor after another.
+    """
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def q_multinomial(n: int, ell: int, s: int, base):

@@ -187,13 +187,30 @@ class TestBallVolumes:
                 assert profile.cumulative[-1] == ring.modulus ** 5
 
     def test_profile_equals_convolution(self):
-        for ring in SMALL_RINGS:
+        # Lee on Z/2^8 and Z/2^10 has a histogram of 129 and 513 terms; the
+        # convolution's cost grows as (n p^s)^2, so those stop at n = 4
+        cases = [(ring, 13) for ring in SMALL_RINGS]
+        cases += [(ConcreteRing(p=2, s=8), 5), (ConcreteRing(p=2, s=10), 5)]
+        for ring, lengths in cases:
             for kind in KINDS:
                 model = make_weight_model(kind, ring)
-                for n in range(13):
+                for n in range(lengths):
                     assert ball_profile(n, model).cumulative == naive_ball_profile(
                         n, model.int_weights
                     ), (ring, kind, n)
+
+    @pytest.mark.parametrize(
+        "int_weights",
+        [
+            (2, 1, 3, 1, 4, 1, 3, 1),  # no weight-0 symbol: every profile starts with n zeros
+            tuple(range(8)),  # w(-x) != w(x)
+            (0, 0, 1, 5, 0, 5, 1, 2),  # h(0) = 3, and no symbol weighs 3 or 4
+        ],
+    )
+    def test_hand_built_tables_equal_convolution(self, int_weights):
+        model = WeightModel(kind="hand", ring=Z8, scale=1, int_weights=int_weights)
+        for n in range(9):
+            assert ball_profile(n, model).cumulative == naive_ball_profile(n, int_weights), n
 
     def test_open_at_most_closed(self):
         lee = make_weight_model(LEE, Z8)
@@ -219,6 +236,23 @@ def test_ball_profile_pinned(case):
     profile = ball_profile(n, make_weight_model(kind, ConcreteRing(p=p, s=s)))
     digest = hashlib.sha256(",".join(map(str, profile.cumulative)).encode()).hexdigest()
     assert digest == PINNED_PROFILES[case]
+
+
+# the largest n each ball profile is admitted at; the charge is that of the
+# former Kronecker power, which took about 17 s on Lee Z/4 at n = 3513
+@pytest.mark.parametrize(
+    "kind, ring, admitted", [(LEE, Z4, 3513), (LEE, Z9, 1973), (HAMMING, Z4, 4968)], ids=str
+)
+def test_ball_profile_budget_boundary(kind, ring, admitted):
+    model = make_weight_model(kind, ring)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        ball_profile(admitted + 1, model)
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    profile = ball_profile(admitted, model)
+    assert time.perf_counter() - start < 1
+    assert profile.cumulative[-1] == ring.modulus ** admitted
 
 
 class TestGVBound:

@@ -17,6 +17,7 @@ from chainring.density import (
     depth_two_density,
     limit_free_density,
     rank_density_trend,
+    table1_rows,
     table2_rows,
     type_counts_sorted,
 )
@@ -331,6 +332,18 @@ class TestDensityBounds:
             assert isinstance(result, DensityResult)
             assert result.ordered()
             assert result.lower.value <= result.value.value <= result.upper.value
+
+    def test_table1_rows_kept_per_policy(self, monkeypatch):
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        monkeypatch.delenv("CHAINRING_TARGET_TAIL", raising=False)
+        loose = TruncationPolicy(target_tail=1e-6)
+        assert table1_rows(loose) is table1_rows(TruncationPolicy(target_tail=1e-6))
+        assert table1_rows() is table1_rows(TruncationPolicy())
+        tight = table1_rows()
+        assert [(s, q) for s, q, _ in tight] == [(s, q) for s, q, _ in table1_rows(loose)]
+        assert any(
+            r.value.abs_error != t.value.abs_error for (_, _, r), (_, _, t) in zip(table1_rows(loose), tight)
+        )
 
     def test_depth_two_upper_base_is_q_squared(self):
         # s = 2 makes q^(s^2-s) = q^2; cross-check the specialisation

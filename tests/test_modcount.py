@@ -132,6 +132,16 @@ class TestEnumerations:
             ]
             assert set(got) == set(brute)
 
+    def test_types_of_length_lists_the_defining_set_in_order(self):
+        # the walk skips the parts no suffix can complete; it must still yield
+        # every type of each length, once, in ascending lexicographic order
+        for s in range(1, 6):
+            for n in range(0, 6):
+                brute = compositions_upto(s, n)
+                for ell in range(-1, n * s + 2):
+                    expected = sorted(t for t in brute if length_of(t) == ell)
+                    assert list(types_of_length(s, n, ell)) == expected, (s, n, ell)
+
     def test_compositions(self):
         assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
         assert len(list(compositions(3, 1))) == 3
