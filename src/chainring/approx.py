@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ParameterError
+
 _EPS = 2.0 ** -52
 
 
@@ -101,8 +103,10 @@ class TruncationPolicy:
     target_tail: float = 1e-12
 
     def __post_init__(self):
-        if self.max_index < 1 or not (self.target_tail > 0.0):
-            raise ValueError("max_index must be >= 1 and target_tail > 0")
+        if self.max_index < 1:
+            raise ParameterError(f"max_index must be >= 1, got {self.max_index}")
+        if not (self.target_tail > 0.0):
+            raise ParameterError(f"target_tail must be > 0, got {self.target_tail}")
 
 
 _ENV_TAIL = "CHAINRING_TARGET_TAIL"
@@ -110,7 +114,19 @@ _ENV_MAXIDX = "CHAINRING_MAX_INDEX"
 
 
 def default_policy() -> TruncationPolicy:
-    """Default policy, overridable via CHAINRING_TARGET_TAIL / CHAINRING_MAX_INDEX."""
-    tail = float(os.environ.get(_ENV_TAIL, 1e-12))
-    maxidx = int(os.environ.get(_ENV_MAXIDX, 512))
-    return TruncationPolicy(max_index=maxidx, target_tail=tail)
+    """Default policy, overridable via CHAINRING_TARGET_TAIL / CHAINRING_MAX_INDEX.
+
+    A setting that does not parse, or that the policy rejects, raises
+    ParameterError naming the variable and its value.
+    """
+    settings = {}
+    for name, field, kind in ((_ENV_MAXIDX, "max_index", int), (_ENV_TAIL, "target_tail", float)):
+        text = os.environ.get(name)
+        if text is None:
+            continue
+        try:
+            settings[field] = kind(text)
+            TruncationPolicy(**settings)  # checks the setting just read
+        except ValueError as exc:
+            raise ParameterError(f"{name}={text!r} is invalid: {exc}") from None
+    return TruncationPolicy(**settings)

@@ -89,11 +89,17 @@ def _cutoff(x: float, s: int, scale: int, policy: TruncationPolicy, euler_low: f
     Terms with index sum T are at most x^(T^2/scale) / (x)_inf^(s-1) each and
     number at most (T+1)^(s-2) <= 2^(T(s-2)), so for caps >= T the tail is at
     most rho^(T+1) / (1 - rho) / (x)_inf^(s-1) with rho = 2^(s-2) x^((T+1)/scale).
+    A prefactor or a 2^(s-2) past the float range certifies no cap: the tail
+    bound is then infinite.
     """
-    prefactor = euler_low ** -(s - 1)
+    try:
+        prefactor = euler_low ** -(s - 1)
+        spread = 2.0 ** (s - 2)
+    except OverflowError:
+        return policy.max_index, math.inf
     best = math.inf
     for cap in range(1, policy.max_index + 1):
-        rho = 2.0 ** (s - 2) * x ** ((cap + 1) / scale)
+        rho = spread * x ** ((cap + 1) / scale)
         if rho >= 1.0:
             continue
         best = prefactor * rho ** (cap + 1) / (1.0 - rho)

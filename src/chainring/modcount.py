@@ -13,37 +13,102 @@ nothing here rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .qseries import _chain_sum, _exact_product, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
 
 
+# Trial division stops here, so a check takes at most 2^20 divisions; that
+# certifies every q < _TRIAL_LIMIT^2 = 2^40.
+_TRIAL_LIMIT = 1 << 20
+# Miller-Rabin at the first 13 primes decides primality below _MR_LIMIT
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _prime_power_root(q: int) -> tuple[int, int]:
-    """Return (p, e) with q = p^e, or raise if q is not a prime power."""
+    """Return (p, e) with q = p^e, or raise if q is not a prime power.
+
+    The least prime factor p is found by trial division up to _TRIAL_LIMIT.
+    A q with no factor that small can only be p^e with p > _TRIAL_LIMIT, so
+    e < log2(q) / 20: the largest such e with an exact integer e-th root is
+    found, and the root is tested for primality.  A root past _MR_LIMIT that
+    base 2 does not prove composite cannot be certified, and q is then
+    refused with BudgetExceededError.
+    """
     if q < 2:
         raise ParameterError(f"residue field size must be >= 2, got {q}")
-    n, p = q, None
-    for cand in range(2, q + 1):
-        if cand * cand > n:
-            p = n
-            break
-        if n % cand == 0:
-            p = cand
-            break
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ParameterError(f"residue field size must be a prime power, got {q}")
-    return p, e
+    for p in range(2, _TRIAL_LIMIT + 1):
+        if p * p > q:
+            return q, 1
+        if q % p == 0:
+            n, e = q, 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if n != 1:
+                break
+            return p, e
+    else:
+        # q = p^k gives q = root^e only for e dividing k, so the largest such
+        # e is k, and q is a prime power exactly when that root is prime
+        for e in range(q.bit_length() // 20, 0, -1):
+            root = _integer_root(q, e)
+            if root**e == q:
+                break
+        prime = _is_prime(root)
+        if prime is None:
+            raise BudgetExceededError(
+                f"residue field size {q} has no prime factor up to {_TRIAL_LIMIT}, and whether "
+                f"{root} is prime cannot be certified past {_MR_LIMIT}"
+            )
+        if prime:
+            return root, e
+    raise ParameterError(f"residue field size must be a prime power, got {q}")
+
+
+def _integer_root(q: int, e: int) -> int:
+    """floor(q^(1/e)), by Newton's method from above.
+
+    The start is the float root of the top bits, raised by a relative 2^-20,
+    far more than the error of math.log2, so Newton falls monotonically to
+    the root in a few quadratic steps.
+    """
+    lg = math.log2(q) / e
+    shift = max(0, int(lg) - 52)
+    x = (math.ceil(2 ** (lg - shift) * (1 + 2**-20)) + 1) << shift
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(n: int) -> bool | None:
+    """Strong probable-prime tests on an odd n > 41: exact below _MR_LIMIT.
+
+    Past _MR_LIMIT only base 2 is tried, and a pass gives None (undecided).
+    """
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    for base in _MR_BASES if n < _MR_LIMIT else _MR_BASES[:1]:
+        x = pow(base, (n - 1) >> r, n)
+        if x != 1 and x != n - 1:
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+    return True if n < _MR_LIMIT else None
 
 
 @dataclass(frozen=True)

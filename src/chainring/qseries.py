@@ -25,28 +25,27 @@ def gaussian_binomial(n: int, k: int, base):
     """q-analog of binomial(n, k): prod_{i<k} (b^n - b^i)/(b^k - b^i).
 
     At a prime power base this counts the k-dimensional subspaces of an
-    n-dimensional space over the field with ``base`` elements.
+    n-dimensional space over the field with ``base`` elements.  At a base
+    a/c in lowest terms the loop builds c^(k (n-k)) [n, k], an integer, and
+    the value is one Fraction of it; an integer base (c = 1) gives an int.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    if isinstance(base, Fraction) and base.denominator == 1:
-        base = int(base)
+    a, c = base.as_integer_ratio()
     if k < 0 or k > n:
-        return 0 if isinstance(base, int) else Fraction(0)
+        return 0 if c == 1 else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
     _check_count_budget(base, [(n, k)], 0)
     if base == 1:  # the product below would divide by b^i - 1 = 0
         return math.comb(n, k)
     if base == -1:
         return 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
-    ratio = Fraction(base)
-    a, c = ratio.numerator, ratio.denominator
     result = 1
     for i in range(1, k + 1):
-        # at a base a/c each partial product is c^(i (n-k)) [n-k+i, i]_{a/c},
-        # an integer, so the division is exact at every step
+        # each partial product is c^(i (n-k)) [n-k+i, i]_{a/c}, an integer, so
+        # the division is exact at every step
         result = result * (a ** (n - k + i) - c ** (n - k + i)) // (a ** i - c ** i)
-    return result if isinstance(base, int) else Fraction(result, c ** (k * (n - k)))
+    return result if c == 1 else Fraction(result, c ** (k * (n - k)))
 
 
 def pochhammer_finite(a, q, r: int) -> Fraction:
@@ -116,8 +115,8 @@ TOTAL_BUDGET = 1 << 37
 
 def _unit_bits(base) -> float:
     """Bits per unit of exponent at a base a/c: log2(max(|a|, c)) numerator, log2(c) denominator."""
-    ratio = Fraction(base)
-    return math.log2(max(abs(ratio.numerator), ratio.denominator)) + math.log2(ratio.denominator)
+    a, c = base.as_integer_ratio()
+    return math.log2(max(abs(a), c)) + math.log2(c)
 
 
 def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
@@ -196,33 +195,36 @@ def q_multinomial(n: int, ell: int, s: int, base):
     contribute nothing (the k > n convention zeroes them), so this is the
     chain sum over n >= mu_1 >= ... >= mu_s with sum mu_i = ell; at a prime
     power base q it counts the length-ell submodules of R^n.  s = 1
-    degenerates to ``gaussian_binomial``.  Raises BudgetExceededError when
-    the sum would exceed TOTAL_BUDGET.
+    degenerates to ``gaussian_binomial``.  An integer base gives an int, any
+    other rational base a Fraction.  Raises BudgetExceededError when the sum
+    would exceed TOTAL_BUDGET.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
     if ell < 0 or ell > n * s:
         raise ParameterError(f"ell must lie in [0, {n * s}], got {ell}")
-    if isinstance(base, Fraction) and base.denominator == 1:
-        base = int(base)
-    total = _chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
-    return total if isinstance(base, int) else Fraction(total)
+    return _chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
 
 
-def _q_pascal(rows: int, base) -> list[list]:
-    """Gaussian binomials [m, k] for 0 <= k <= m <= rows, row by row.
+def _q_pascal(rows: int, base) -> list[list[int]]:
+    """Homogenised Gaussian binomials c^(k (m-k)) [m, k] for 0 <= k <= m <= rows.
 
-    The q-Pascal rule [m, k] = [m-1, k-1] + base^k [m-1, k] needs no division;
-    it builds each row's first half, and [m, k] = [m, m-k] gives the rest.
+    The base is a/c in lowest terms, so every entry is an integer.  The
+    q-Pascal rule [m, k] = [m-1, k-1] + b^k [m-1, k], times c^(k (m-k)),
+    reads [m, k]_h = c^(m-k) [m-1, k-1]_h + a^k [m-1, k]_h and needs no
+    division; at an integer base (c = 1) no power of c is multiplied in.
+    It builds each row's first half, and [m, k] = [m, m-k], which the factor
+    c^(k (m-k)) keeps, gives the rest.
     """
+    a, c = base.as_integer_ratio()
     table = [[1]]
     for m in range(1, rows + 1):
         above = table[-1]
         row = [1]
         power = 1
         for k in range(1, m // 2 + 1):
-            power *= base
-            row.append(above[k - 1] + power * above[k])
+            power *= a
+            row.append((above[k - 1] if c == 1 else above[k - 1] * c ** (m - k)) + power * above[k])
         table.append(row + row[m - m // 2 - 1 :: -1])
     return table
 
@@ -267,13 +269,23 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     which at a prime power base counts the submodules of that shape; with
     ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
     Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
-    what remains) and summed by Horner in base^(n - mu_{i-1}); under a length
-    the last two parts are one _diagonal, so s = 2 is that diagonal below n.
-    At s >= 3 the middle positions read row segments of every row up to
-    max(first), again and again, so those rows are built once as a q-Pascal
-    table.  At s <= 2 the walk reads one row (rank) or one diagonal (length),
-    which would not repay a quadratic table: row K of a rank sum is walked by
-    _binomial_row, and every other entry comes from gaussian_binomial.
+    what remains) and summed by Horner; under a length the last two parts
+    are one _diagonal, so s = 2 is that diagonal below n.  At s >= 3 the
+    middle positions read row segments of every row up to max(first), again
+    and again, so those rows are built once as a q-Pascal table.  At s <= 2
+    the walk reads one row (rank) or one diagonal (length), which would not
+    repay a quadratic table: row K of a rank sum is walked by _binomial_row,
+    and every other entry comes from gaussian_binomial.
+
+    The walk runs on integers at every base.  At b = a/c in lowest terms it
+    reads homogenised binomials [m, k]_h = c^(k (m-k)) [m, k], and a chain's
+    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i)).
+    Every part is at most max(first), so each mu (n - mu) is at most
+    P = m (n - m), m = min(max(first), floor(n / 2)), and suffix(pos, ...) holds
+    c^((s - pos + 1) P) times its sum: Horner runs in x = a^(n - mu_{i-1}),
+    each term is padded by c^(P - mu (n - mu)), and the sum is one
+    Fraction(total, c^(s P)) at the end.  At c = 1 no pad is multiplied in
+    and the sum is an int.
     """
     _check_total_budget(n, base, s, first, remaining)
     if remaining is not None and first[-1] < n:
@@ -282,10 +294,22 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
         # long thin sum is refused at once, on the first binomial over budget
         for mu in first:
             _check_count_budget(base, [(n, mu)], 0)
+    a, c = base.as_integer_ratio()
+    # every part is at most first[-1], so this is P, the peak of mu (n - mu)
+    top = (peak := min(first[-1], n // 2)) * (n - peak)
     pascal = _q_pascal(first[-1], base) if s >= 3 else []
-    memo: dict[tuple, int | Fraction] = {}
+    # with a table, or at a base 1 or -1, where ratio steps would divide by
+    # b^i - 1 = 0, every binomial the walk needs is read, none is stepped to
+    lookup = s >= 3 or a in (c, -c)
+    memo: dict[tuple, int] = {}
 
-    def suffix(pos: int, prev: int, remaining: int | None):
+    def binomial(m: int, k: int) -> int:  # [m, k]_h, from the table when it has row m
+        if m < len(pascal):
+            return pascal[m][k]
+        value = gaussian_binomial(m, k, base)
+        return value if c == 1 else value.numerator * (c ** (k * (m - k)) // value.denominator)
+
+    def suffix(pos: int, prev: int, remaining: int | None) -> int:
         key = (pos, prev, remaining)
         if key in memo:
             return memo[key]
@@ -299,74 +323,77 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
             lo = -(-remaining // (s - pos + 1))
             hi = min(prev, remaining)
         if remaining is not None and pos == s - 1:
-            memo[key] = total = _diagonal(n, base, prev, remaining, lo, hi, pascal)
-            return total
+            return memo.setdefault(key, _diagonal(n, a, c, 2 * top, prev, remaining, lo, hi, binomial, lookup))
         parts = range(hi, lo - 1, -1)
         if prev < len(pascal):
             binomials = reversed(pascal[prev][lo : hi + 1])
-        elif pos > 1 and base not in (1, -1):
+        elif pos > 1 and not lookup:
             # a rank sum's last row at s = 2, walked from [prev, 0] = [prev, prev]
-            binomials = _binomial_row(prev, base)
+            binomials = _binomial_row(prev, a, c)
         else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
-            binomials = (gaussian_binomial(prev, mu, base) for mu in parts)
-        x = base ** (n - prev)
+            binomials = (binomial(prev, mu) for mu in parts)
+        x = a ** (n - prev)
         total = 0
-        for mu, binomial in zip(parts, binomials):  # Horner in x
+        for mu, term in zip(parts, binomials):  # Horner in x
             if pos < s:  # past the last part the suffix is 1: lo and hi leave nothing over
-                binomial *= suffix(pos + 1, mu, None if remaining is None else remaining - mu)
-            total = total * x + binomial
+                term *= suffix(pos + 1, mu, None if remaining is None else remaining - mu)
+            total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
         if total and lo:
             total *= x ** lo
         memo[key] = total
         return total
 
-    return suffix(1, n, remaining)
+    total = suffix(1, n, remaining)
+    return total if c == 1 else Fraction(total, c ** (s * top))
 
 
-def _diagonal(n: int, base, prev: int, ell: int, lo: int, hi: int, pascal: list):
+def _diagonal(n: int, a: int, c: int, pad: int, prev: int, ell: int, lo: int, hi: int, binomial, lookup):
     """The last two parts (mu, ell - mu) of a length sum below prev, lo <= mu <= hi.
 
     The pair weighs T(mu) b^((n - prev) mu + (n - mu)(ell - mu)), where
     T(mu) = [prev, mu] [mu, ell - mu] is the q-trinomial
     (q)_prev / ((q)_j (q)_(mu-j) (q)_(prev-mu)), j = ell - mu,
     (q)_m = prod_{i<=m} (b^i - 1).  So
-    T(mu + 1) = T(mu) (b^j - 1)(b^(prev-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)),
-    and the powers fold in by Horner: b^(prev+ell-2mu-1) between T(mu) and
-    T(mu + 1), and b^((n - prev) hi + (n - hi)(ell - hi)) once at the end.
-    With a q-Pascal table (s >= 3) each T(mu) is two lookups and no division.
-    With none (s = 2) T(lo) comes from gaussian_binomial and the rest by the
-    ratio, which divides by b^i - 1, so at the bases 1 and -1 every T(mu)
-    comes from gaussian_binomial.
+    T(mu + 1) = T(mu) (b^j - 1)(b^(prev-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)).
+    At b = a/c the homogenised T_h(mu) = c^(mu (prev-mu) + j (mu-j)) T(mu)
+    is an integer, and the same ratio holds with each b^i - 1 read as
+    a^i - c^i, with no further power of c.  The pair's denominator is
+    c^(mu (n-mu) + j (n-j)), so each term carries the pad
+    c^(pad - mu (n-mu) - j (n-j)), where ``pad`` is 2P and P bounds every
+    part's mu (n - mu) (see _chain_sum), and the sum is c^pad times the pair
+    sum; at c = 1 there is no pad.  The powers of a fold in by Horner: a^(prev+ell-2mu-1) between T(mu) and T(mu + 1), and
+    a^((n - prev) hi + (n - hi)(ell - hi)) once at the end.  With ``lookup``
+    (a q-Pascal table at s >= 3, or a base 1 or -1, where the ratio would
+    divide by zero) each T_h(mu) is two reads of ``binomial``; otherwise
+    T_h(lo) is read and the rest follow by the ratio.
     """
-    lookup = bool(pascal) or base in (1, -1)
-
-    def binomial(m: int, k: int):
-        return pascal[m][k] if pascal else gaussian_binomial(m, k, base)
-
     term = binomial(prev, lo) * binomial(lo, ell - lo)
-    total = term
+    total = term if c == 1 else term * c ** (pad - lo * (n - lo) - (ell - lo) * (n - ell + lo))
     for mu in range(lo, hi):  # T(mu) -> T(mu + 1)
         j = ell - mu
         if lookup:
             term = binomial(prev, mu + 1) * binomial(mu + 1, j - 1)
         else:
-            num = (base ** j - 1) * (base ** (prev - mu) - 1)
-            term = _exact_ratio(term, num, (base ** (mu - j + 1) - 1) * (base ** (mu - j + 2) - 1))
-        total = total * base ** (prev + ell - 2 * mu - 1) + term
-    return total * base ** ((n - prev) * hi + (n - hi) * (ell - hi))
+            num = (a ** j - c ** j) * (a ** (prev - mu) - c ** (prev - mu))
+            den = (a ** (mu - j + 1) - c ** (mu - j + 1)) * (a ** (mu - j + 2) - c ** (mu - j + 2))
+            term = term * num // den
+        padded = term if c == 1 else term * c ** (pad - (mu + 1) * (n - mu - 1) - (j - 1) * (n - j + 1))
+        total = total * a ** (prev + ell - 2 * mu - 1) + padded
+    return total * a ** ((n - prev) * hi + (n - hi) * (ell - hi))
 
 
-def _exact_ratio(value, num, den):
-    """value * num / den for a quotient known to be exact: // at an integer base."""
-    return value * num // den if isinstance(value, int) else value * num / den
+def _binomial_row(m: int, a: int, c: int):
+    """Yield [m, k]_h = c^(k (m-k)) [m, k] at the base a/c for k = 0, 1, ..., m.
 
-
-def _binomial_row(m: int, base):
-    """Yield [m, 0], [m, 1], ..., [m, m] by [m, k+1] = [m, k] (b^(m-k) - 1) / (b^(k+1) - 1)."""
-    value = 1 if isinstance(base, int) else Fraction(1)
+    [m, k+1] = [m, k] (b^(m-k) - 1) / (b^(k+1) - 1), and the power of c the
+    ratio brings is the one between the homogenising factors, so
+    [m, k+1]_h = [m, k]_h (a^(m-k) - c^(m-k)) / (a^(k+1) - c^(k+1)), an exact
+    integer division.
+    """
+    value = 1
     yield value
     for k in range(m):
-        value = _exact_ratio(value, base ** (m - k) - 1, base ** (k + 1) - 1)
+        value = value * (a ** (m - k) - c ** (m - k)) // (a ** (k + 1) - c ** (k + 1))
         yield value
 
 

@@ -88,6 +88,9 @@ class TestExitCodes:
             ("density limit --q 2 --s 34", "max_index=512"),
             ("density bounds --q 3 --s 30", "3^-870 underflows"),
             ("density bounds --q 2 --s 34", "2^-1122 underflows"),
+            # the tail bound's prefactor, then 2^(s-2), overflow a float
+            ("density limit --q 2 --s 600", "max_index=512"),
+            ("density limit --q 3 --s 1100", "max_index=512"),
         ],
     )
     def test_uncertifiable_density_exits_2_at_once(self, capsys, monkeypatch, argv, named):
@@ -97,6 +100,38 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (status, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("CHAINRING_MAX_INDEX", "0"),
+            ("CHAINRING_MAX_INDEX", "abc"),
+            ("CHAINRING_TARGET_TAIL", "-1"),
+            ("CHAINRING_TARGET_TAIL", "x"),
+        ],
+    )
+    def test_bad_truncation_environment_exits_2(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        for argv in ("density limit --q 2 --s 3", "count free --n 2 --q 2 --s 2 --K 1 --format json"):
+            status, out, err = run_cli(capsys, argv.split())
+            assert (status, out) == (2, "")
+            assert err.startswith(f"error: {name}={value!r} ") and err.count("\n") == 1
+
+    def test_unbounded_prime_power_check_exits_3(self, capsys):
+        # q = p = 2^89 - 1, a prime too large to certify; 2^61 - 1 is certified
+        for argv in (
+            "count free --n 1 --q 618970019642690137449562111 --s 1 --K 1",
+            "oracle enumerate --p 618970019642690137449562111 --s 1 --n 1",
+        ):
+            start = time.perf_counter()
+            status, out, err = run_cli(capsys, argv.split())
+            assert time.perf_counter() - start < 1
+            assert (status, out) == (3, "")
+            assert err.startswith("error: ") and err.count("\n") == 1 and "prime factor" in err
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "count free --n 1 --q 2305843009213693951 --s 1 --K 1".split())
+        assert time.perf_counter() - start < 1
+        assert (status, out, err) == (0, "1\n", "")
 
     def test_multi_sum_over_budget_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(density, "WALK_BUDGET", 1000)

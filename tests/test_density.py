@@ -314,6 +314,11 @@ class TestAndrewsGordon:
         with pytest.raises(ParameterError):
             andrews_gordon_series(0.5, 1)
 
+    def test_depth_past_the_float_range_is_nonconvergent(self):
+        # (x)_inf^-(s-1) overflows a float from s = 573 at x = 1/2
+        with pytest.raises(NonconvergentError, match="no cap bounds its tail"):
+            andrews_gordon_series(0.5, 600)
+
 
 class TestDensityBounds:
     def test_reference_rows(self):

@@ -49,6 +49,33 @@ class TestRingSpec:
             with pytest.raises(ParameterError):
                 ChainRingSpec(q=q, s=2)
 
+    def test_large_prime_powers_certified(self):
+        # past 2^40 with no factor up to 2^20, q is certified by an integer
+        # root and Miller-Rabin, which decides every root below 3.3e24
+        p61 = 2**61 - 1
+        for q, root in (
+            (2**64, (2, 64)),
+            (3**40, (3, 40)),
+            (65537**2, (65537, 2)),
+            (2**40 - 87, (2**40 - 87, 1)),
+            (2**40 + 15, (2**40 + 15, 1)),
+            ((2**20 + 7) ** 3, (2**20 + 7, 3)),
+            (p61, (p61, 1)),
+            (p61**2, (p61, 2)),
+        ):
+            assert modcount._prime_power_root(q) == root
+        assert ChainRingSpec(q=p61**2, s=1).size == p61**2
+        for q in ((2**20 + 7) * p61, (2**20 + 7) ** 2 * (2**21 + 17), (2**31 - 1) * p61):
+            with pytest.raises(ParameterError, match="prime power"):
+                ChainRingSpec(q=q, s=1)
+
+    def test_prime_power_check_is_bounded(self):
+        # 2^89 - 1 is prime, past the range where Miller-Rabin is exact
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="prime factor"):
+            ChainRingSpec(q=2**89 - 1, s=1)
+        assert time.perf_counter() - start < 1
+
     def test_size(self):
         assert ChainRingSpec(q=3, s=2).size == 9
 

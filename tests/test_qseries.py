@@ -192,7 +192,10 @@ class TestQMultinomial:
                 assert _chain_sum(n, base, 1, range(k, k + 1), None) == gaussian_binomial(n, k, base)
                 assert _chain_sum(n, base, 2, range(k, k + 1), None) == gaussian_binomial(n, k, base) * row
 
-    @pytest.mark.parametrize("base", [2, 3, HALF, Fraction(3, 2), Fraction(2, 3), 1, -1])
+    @pytest.mark.parametrize(
+        "base",
+        [2, 3, HALF, Fraction(3, 2), Fraction(2, 3), 1, -1, -2, Fraction(-3, 2), Fraction(-1, 2), 0, Fraction(5, 3)],
+    )
     def test_every_depth_matches_chains(self, base):
         # deep length sums end in a diagonal below prev < n; the reference
         # weighs each chain on its own
@@ -206,6 +209,29 @@ class TestQMultinomial:
                 for k in range(n + 1):
                     rank = range(k, k + 1)
                     assert _chain_sum(n, base, s, rank, None) == naive_chain_sum(n, base, s, rank, None), (n, s, k)
+
+    def test_rational_walk_builds_no_fraction_per_step(self, monkeypatch):
+        # a base a/c runs on homogenised integers: one Fraction for the sum,
+        # one per binomial read through gaussian_binomial, so hardly any gcd
+        base = Fraction(3, 2)
+        gcd = math.gcd
+        calls = []
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        sums = (lambda: q_multinomial(80, 120, 3, base), lambda: _chain_sum(60, base, 2, range(30, 31), None))
+        for total in sums:
+            calls.clear()
+            assert type(total()) is Fraction
+            assert len(calls) <= 8
+
+    def test_pad_follows_the_largest_part(self):
+        # parts of at most 3 in R^4000 pad to c^(3 * 3997) per part, not to
+        # c^(4000^2 / 4), so these sums stay small and fast
+        base = Fraction(3, 2)
+        start = time.perf_counter()
+        assert q_multinomial(10000, 1, 1, base) == gaussian_binomial(10000, 1, base)
+        assert q_multinomial(4000, 3, 3, base) == naive_chain_sum(4000, base, 3, range(1, 4), 3)
+        assert _chain_sum(4000, base, 3, range(2, 3), None) == naive_chain_sum(4000, base, 3, range(2, 3), None)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("base", [1, -1])
     def test_unit_bases(self, base):
