@@ -351,12 +351,17 @@ COMMANDS = (
 )
 
 
+# (group, subject) -> that command's parser in the tree, filled by build_parser
+SUBJECT_PARSERS: dict[tuple[str, str], argparse.ArgumentParser] = {}
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process from ``COMMANDS``.
 
     Parsing does not change an argparse parser, and every parse fills a
     fresh Namespace, so calls of ``run`` cannot see each other's arguments.
+    Each subject parser is also entered in ``SUBJECT_PARSERS``.
     """
     parser = argparse.ArgumentParser(
         prog="chainring",
@@ -374,12 +379,32 @@ def build_parser() -> argparse.ArgumentParser:
             flag, spec = OPTIONS[name]
             sub.add_argument(flag, **spec)
         sub.set_defaults(func=handler, command_path=f"{group} {subject}")
+        SUBJECT_PARSERS[group, subject] = sub
     return parser
 
 
 def run(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); return its exit status.
+
+    When the first two words name a command, its arguments are read only by
+    that command's own subject parser, into a namespace holding the two
+    words, as the tree's nested parse would fill it; strings the subject
+    parser does not know are reported by the top-level parser, as the tree
+    reports them.  Any other command line goes through the whole tree,
+    which reports the help, the version or the usage error.  An argument
+    ``--=...`` also goes through the tree: the top-level parser rejects it
+    as ambiguous between --help and --version before any subparser sees it.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = SUBJECT_PARSERS.get(tuple(argv[:2]))
+    if sub is None or any(arg.startswith("--=") for arg in argv):
+        args = parser.parse_args(argv)
+    else:
+        args, extra = sub.parse_known_args(argv[2:], argparse.Namespace(group=argv[0], subject=argv[1]))
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         status, output = args.func(args)
     except (ParameterError, NonconvergentError) as exc:

@@ -237,7 +237,9 @@ def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:
     """All types of length ell fitting in R^n, in ascending lexicographic order.
 
     Yields every (k_1, ..., k_s) with sum(k_i (s - i + 1)) = ell and
-    sum(k_i) <= n, each exactly once.
+    sum(k_i) <= n, each exactly once.  The walk nests one generator per
+    position; a depth s past Python's recursion limit raises
+    BudgetExceededError.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
@@ -256,7 +258,12 @@ def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:
         for k in range(low, min(remaining // part, room) + 1):
             yield from descend(i + 1, remaining - k * part, room - k, prefix + (k,))
 
-    yield from descend(0, ell, n, ())
+    try:
+        yield from descend(0, ell, n, ())
+    except RecursionError:  # descend nests one generator per position
+        raise BudgetExceededError(
+            f"types of length {ell} at s={s} nest {s} positions, deeper than Python's recursion limit"
+        ) from None
 
 
 def compositions(s: int, total: int) -> Iterator[Type]:

@@ -286,6 +286,9 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     each term is padded by c^(P - mu (n - mu)), and the sum is one
     Fraction(total, c^(s P)) at the end.  At c = 1 no pad is multiplied in
     and the sum is an int.
+
+    The walk nests one call per position, so a depth s past Python's
+    recursion limit raises BudgetExceededError.
     """
     _check_total_budget(n, base, s, first, remaining)
     if remaining is not None and first[-1] < n:
@@ -343,7 +346,12 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
         memo[key] = total
         return total
 
-    total = suffix(1, n, remaining)
+    try:
+        total = suffix(1, n, remaining)
+    except RecursionError:  # suffix nests one call per position
+        raise BudgetExceededError(
+            f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
+        ) from None
     return total if c == 1 else Fraction(total, c ** (s * top))
 
 

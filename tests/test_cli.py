@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import chainring
 from chainring import cli, density, simulate
+from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError, VerificationError
 from chainring.modcount import ChainRingSpec, free_fraction_by_rank, matrix_count_by_type, total_by_rank
 
 from helpers import chain_dp_limit_density, decimal_length, leading_digits
@@ -238,6 +240,23 @@ class TestExitCodes:
         )
         status, out, err = run_cli(capsys, argv.split())
         assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,s",
+        [
+            ("count rank --n 3 --q 2 --s 990 --K 1", 990),
+            ("count length --n 3 --q 2 --s 990 --ell 5", 990),
+            ("prob free-rank --n 3 --q 2 --s 1100 --K 1", 1100),
+            ("prob free-length --n 3 --q 2 --s 1100 --ell 1100", 1100),
+            ("density rank-trend --q 2 --s 1100 --rprime 1/2 --n-list 10,20", 1100),
+            ("density order-explore --n 3 --q 2 --s 1100 --ell 2", 1100),
+        ],
+    )
+    def test_walk_past_recursion_limit_exits_3(self, capsys, argv, s):
+        # the chain sum and the type walk nest one call per position
+        status, out, err = run_cli(capsys, argv.split())
+        assert (status, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"s={s} " in err
 
     def test_oracle_verify_passes(self, capsys):
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
@@ -483,6 +502,90 @@ class TestSurfacePinned:
         assert run_cli(capsys, argv) == (0, pinned["stdout"], "")
 
 
+def _tree_run(argv):
+    """``cli.run`` with every command line parsed by the whole tree."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        status, output = args.func(args)
+    except (ParameterError, NonconvergentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(output)
+    return status
+
+
+def _outcome(capsys, call, argv):
+    try:
+        status = call(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+BAD_GROUP = (
+    "chainring: error: argument group: invalid choice: 'bogus' "
+    "(choose from 'count', 'prob', 'density', 'oracle', 'code')"
+)
+
+# what follows the command words, built from a valid call's options
+DISPATCH_CASES = {
+    "text": lambda opts: opts,
+    "json": lambda opts: [*opts, "--format", "json"],
+    "unknown option": lambda opts: [*opts, "--bogus", "1"],
+    "trailing positional": lambda opts: [*opts, "extra"],
+    "bad value": lambda opts: [*opts, "--precision", "x"],
+    "missing required": lambda opts: opts[2:],
+    "help": lambda opts: [*opts, "-h"],
+    "double dash": lambda opts: [*opts, "--", "extra"],
+    "abbreviation": lambda opts: [*opts, "--for", "json"],
+    "equals form": lambda opts: [*opts, "--format=json"],
+    "version after": lambda opts: [*opts, "--version"],
+    "ambiguous at the top": lambda opts: [*opts, "--=x"],
+}
+
+
+class TestSubjectDispatch:
+    """``run`` parses a command with its subject parser alone, with the tree's bytes."""
+
+    @pytest.mark.parametrize("case", DISPATCH_CASES)
+    @pytest.mark.parametrize("group,subject", SUBCOMMANDS)
+    def test_same_outcome_as_the_tree(self, capsys, monkeypatch, group, subject, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [group, subject, *DISPATCH_CASES[case](SURFACE["json"][f"{group} {subject}"]["argv"])]
+        assert _outcome(capsys, cli.run, argv) == _outcome(capsys, _tree_run, argv)
+
+    def test_commands_skip_the_top_and_group_parsers(self, capsys, monkeypatch):
+        real = argparse.ArgumentParser.parse_known_args
+        parsed_by = []
+
+        def spy(parser, *args, **kwargs):
+            parsed_by.append(parser.prog)
+            return real(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        for group, subject in SUBCOMMANDS:
+            parsed_by.clear()
+            argv = [group, subject, *SURFACE["json"][f"{group} {subject}"]["argv"]]
+            assert _outcome(capsys, cli.run, argv)[0] == 0
+            assert parsed_by == [f"chainring {group} {subject}"]
+        for argv, parsers, line in (
+            (["bogus", "rank"], ["chainring"], BAD_GROUP),
+            (["count", "bogus"], ["chainring", "chainring count"],
+             "chainring count: error: argument subject: invalid choice: 'bogus' "
+             "(choose from 'free', 'type', 'shape', 'length', 'rank', 'matrix')"),
+        ):
+            parsed_by.clear()
+            status, out, err = _outcome(capsys, cli.run, argv)
+            assert (status, out, err.splitlines()[-1], parsed_by) == (2, "", line, parsers)
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         cases = [
@@ -586,6 +689,22 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 0
         assert done.stdout == "chainring 0.1.0\n"
+
+    def test_python_m_reads_its_command_line(self, capsys):
+        env = dict(os.environ)
+        src = str(Path(chainring.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["prob", "free-rank", "--n", "6", "--q", "3", "--s", "2", "--K", "3", "--format", "json"]
+        done = subprocess.run(
+            [sys.executable, "-m", "chainring.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "chainring.cli", "bogus", "rank"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert [line for line in done.stderr.splitlines() if "error:" in line] == [BAD_GROUP]
 
 
 class TestCsvRejection:
