@@ -134,7 +134,8 @@ def _pruned_terms(s: int, cap: int, poch: list[float], log_x: float, congruence:
     N_{s-1}^2 grows directly.  Either bound is exact in integers, and it grows
     with k at each level, because the new N = running + k is at least every
     value placed so far and so at least their mean: once it passes e_max the
-    level's loop can stop.
+    level's loop can stop.  The walk nests one call per level, so a depth s
+    past Python's recursion limit raises BudgetExceededError.
     """
     terms: list[float] = []
     cut = False
@@ -168,7 +169,12 @@ def _pruned_terms(s: int, cap: int, poch: list[float], log_x: float, congruence:
                 f"multi-sum walk at s = {s}, cap = {cap} exceeds its budget of {budget} steps"
             )
 
-    descend(s - 1, cap, (), 0, 2, 0, 0)
+    try:
+        descend(s - 1, cap, (), 0, 2, 0, 0)
+    except RecursionError:  # descend nests one call per level
+        raise BudgetExceededError(
+            f"multi-sum walk at s={s} nests {s - 1} levels, deeper than Python's recursion limit"
+        ) from None
     return terms, cut, steps
 
 

@@ -13,6 +13,7 @@ nothing here rounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -267,20 +268,19 @@ def types_of_length(s: int, n: int, ell: int) -> Iterator[Type]:
 
 
 def compositions(s: int, total: int) -> Iterator[Type]:
-    """Weak compositions of ``total`` into s parts, ascending lexicographic."""
+    """Weak compositions of ``total`` into s parts, ascending lexicographic.
+
+    Stars and bars: the s - 1 bars sit among total + s - 1 places, and the
+    parts are the gaps between them; bars in ascending lexicographic order
+    give the parts in the same order.
+    """
     if s < 1:
         raise ParameterError("s must be >= 1")
     if total < 0:
         raise ParameterError("total must be nonnegative")
-
-    def descend(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == s - 1:
-            yield prefix + (remaining,)
-            return
-        for k in range(remaining + 1):
-            yield from descend(i + 1, remaining - k, prefix + (k,))
-
-    yield from descend(0, total, ())
+    end = (total + s - 1,)
+    for bars in itertools.combinations(range(total + s - 1), s - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 @lru_cache(maxsize=256)

@@ -35,7 +35,7 @@ def gaussian_binomial(n: int, k: int, base):
     if k < 0 or k > n:
         return 0 if c == 1 else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
-    _check_count_budget(base, [(n, k)], 0)
+    _check_count_budget(_unit_bits(base), [(n, k)], 0)
     if base == 1:  # the product below would divide by b^i - 1 = 0
         return math.comb(n, k)
     if base == -1:
@@ -119,7 +119,7 @@ def _unit_bits(base) -> float:
     return math.log2(max(abs(a), c)) + math.log2(c)
 
 
-def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
+def _check_count_budget(unit: float, binomials, exponent: int, factors: int = 0):
     """Raise BudgetExceededError if an exact count would cost more than TOTAL_BUDGET.
 
     The count is base^exponent times the Gaussian binomials [m, k] listed in
@@ -129,11 +129,10 @@ def _check_count_budget(base, binomials, exponent: int, factors: int = 0):
     m log2(base) bits, so a step costs the product's bits times the factor's
     64-bit words.  The power and the products that join the factors each
     cost about b (b/64)^0.585 for a result of b bits (Karatsuba).  A unit of
-    exponent costs _unit_bits(base) bits.  Measured
-    on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
-    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
+    exponent costs ``unit`` bits, _unit_bits(base) for a count at ``base``.
+    Measured on one core, [2000, 1000]_2 estimates 2^35.9 and takes
+    1.3-2.6 s, and 3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
     """
-    unit = _unit_bits(base)
     bits = exponent * unit
     factors += 1 if exponent else 0
     cost = 0.0
@@ -160,7 +159,7 @@ def _exact_product(base, binomials, exponent: int, spans=()):
     factors are joined by _tree_product.
     """
     span_exponent = sum((hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans)
-    _check_count_budget(base, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
+    _check_count_budget(_unit_bits(base), binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
     result = base ** exponent
     for m, k in binomials:
         result *= gaussian_binomial(m, k, base)
@@ -251,8 +250,10 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
 
     triangle = (rows + 1) * (rows + 2) // 2
     terms = triangle + len(first) * (rows + 1)
-    for t in range(1, s - 1):  # positions 3..s
-        terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
+    if remaining is None:  # positions 3..s read a triangle each
+        terms += max(s - 2, 0) * triangle
+    elif s >= 3:  # a triangle at t = 1 part left, then t triangle (rows + 3) / 3, exactly, at t = 2..s-2
+        terms += triangle + triangle * (rows + 3) // 3 * ((s - 2) * (s - 1) // 2 - 1)
     exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
     bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
     if terms * bits > TOTAL_BUDGET:
@@ -295,8 +296,9 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
         # the walk reads [n, mu] in decreasing mu, and at s = 2 only
         # [n, first[0]]; charge every one up front, smallest first, so that a
         # long thin sum is refused at once, on the first binomial over budget
+        unit = _unit_bits(base)
         for mu in first:
-            _check_count_budget(base, [(n, mu)], 0)
+            _check_count_budget(unit, [(n, mu)], 0)
     a, c = base.as_integer_ratio()
     # every part is at most first[-1], so this is P, the peak of mu (n - mu)
     top = (peak := min(first[-1], n // 2)) * (n - peak)

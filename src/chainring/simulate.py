@@ -198,6 +198,20 @@ def is_rect_unimodular(mat: RingMatrix) -> bool:
     return matrix_type(mat) == free
 
 
+def _check_power_budget(ring: ConcreteRing, exponent: int, budget: int, what: str):
+    """Raise BudgetExceededError if (p^s)^exponent exceeds ``budget``, naming ``what`` it counts.
+
+    p^s >= 2^s, so s * exponent >= budget.bit_length() refuses with no power
+    taken; below that the power is taken, of fewer than
+    budget.bit_length() log2(p) bits.  The message names p^s in digits up to
+    2^64 and as (p^s) past it, where str may refuse to print it.
+    """
+    if ring.s * exponent < budget.bit_length() and ring.modulus ** exponent <= budget:
+        return
+    base = ring.modulus if ring.s * (ring.p - 1).bit_length() <= 64 else f"({ring.p}^{ring.s})"
+    raise BudgetExceededError(f"{base}^{exponent} {what} exceed budget {budget}")
+
+
 @lru_cache(maxsize=16)
 def _all_vectors(mod: int, m: int) -> np.ndarray:
     """All length-m vectors over Z/mod as an array, in mixed-radix order."""
@@ -213,8 +227,7 @@ def row_span(mat: RingMatrix) -> set[tuple[int, ...]]:
     """The exact set {x M : x in R^m}; size is p^length(type)."""
     mod = mat.ring.modulus
     m = mat.nrows
-    if mod ** m > SPAN_BUDGET:
-        raise BudgetExceededError(f"{mod}^{m} coefficient vectors exceed budget {SPAN_BUDGET}")
+    _check_power_budget(mat.ring, m, SPAN_BUDGET, "coefficient vectors")
     coeffs = _all_vectors(mod, m)
     products = coeffs @ mat.to_array() % mod
     return set(map(tuple, products.tolist()))
@@ -245,14 +258,12 @@ def enumerate_submodules(ring: ConcreteRing, n: int) -> TypeCensus:
     all the chains gives the types.  ``CENSUS_BUDGET`` bounds the (p^s)^(n*n)
     generator matrices whose spans these are, and so the submodules;
     ``SPAN_BUDGET`` bounds the (p^s)^n elements of R^n that every membership
-    array holds.  Both are checked before any work.
+    array holds.  Both are checked before any work, on their exponents first.
     """
     modcount._check_nonnegative(n=n)
+    _check_power_budget(ring, n * n, CENSUS_BUDGET, "generator matrices")
+    _check_power_budget(ring, n, SPAN_BUDGET, f"elements of R^{n}")
     p, mod = ring.p, ring.modulus
-    if mod ** (n * n) > CENSUS_BUDGET:
-        raise BudgetExceededError(f"{mod}^{n * n} generator matrices exceed budget {CENSUS_BUDGET}")
-    if mod ** n > SPAN_BUDGET:
-        raise BudgetExceededError(f"{mod}^{n} elements of R^{n} exceed budget {SPAN_BUDGET}")
     vectors = _all_vectors(mod, n)
     weights = mod ** np.arange(n - 1, -1, -1, dtype=np.int64)
     times_p = p * vectors % mod @ weights  # the index of p x, for each x

@@ -270,3 +270,39 @@ def decimal_length(value: int) -> int:
 
     with mpmath.workdps(40):
         return int(mpmath.floor(mpmath.log10(mpmath.mpf(value)))) + 1
+
+
+def packed_ball_charge(n: int, model) -> None:
+    """The ball-profile charge with its stand-in base built in full.
+
+    The symbol histogram is packed into byte slots wide enough for (p^s)^n,
+    and that integer is charged to ``qseries.TOTAL_BUDGET`` as raised to the
+    n-th power; over the budget, BudgetExceededError.
+    """
+    from collections import Counter
+
+    from chainring.qseries import _check_count_budget, _unit_bits
+
+    counts = Counter(model.int_weights)
+    slot = -(-(model.ring.modulus ** max(n, 1)).bit_length() // 8)
+    packed = b"".join(counts[w].to_bytes(slot, "little") for w in range(max(counts) + 1))
+    _check_count_budget(_unit_bits(int.from_bytes(packed, "little")), [], n)
+
+
+def loop_total_estimate(n: int, base, s: int, first: range, remaining) -> int:
+    """The a-priori chain-sum cost of ``qseries._check_total_budget``, one loop step per position."""
+    from chainring.qseries import _unit_bits
+
+    rows = first[-1]
+
+    def peak(lo: int, hi: int) -> int:
+        mu = min(max(n // 2, lo), hi)
+        return mu * (n - mu)
+
+    triangle = (rows + 1) * (rows + 2) // 2
+    terms = triangle + len(first) * (rows + 1)
+    for t in range(1, s - 1):  # positions 3..s
+        terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
+    exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
+    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
+    return terms * bits

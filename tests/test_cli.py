@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -262,6 +263,40 @@ class TestExitCodes:
         status, out, _ = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "2"])
         assert status == 0
         assert out.rstrip().endswith("PASS")
+
+
+class TestConstantTimeRefusals:
+    # each budget is decided from the inputs' sizes, before anything it bounds
+    # is built or walked; these took from 1.7 s to over a minute, or died in a
+    # traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "code entropy --metric lee --p 2 --s 2 --n 100000000 --delta 0.2",
+            "oracle enumerate --p 2 --s 2 --n 30000",
+            "oracle enumerate --p 2 --s 2 --n 100000",
+            "count rank --n 3 --q 2 --s 100000000 --K 1",
+            "prob free-length --n 3 --q 2 --s 100000000 --ell 100000000",
+            "code ball --metric hamming --p 2 --s 40 --n 1 --w 1",
+            "code entropy --metric hamming --p 2 --s 20000 --n 1 --delta 0.1",
+            "oracle enumerate --p 2 --s 20000 --n 1",
+        ],
+    )
+    def test_refused_at_once_in_little_memory(self, capsys, argv):
+        start = time.thread_time()
+        status, out, err = run_cli(capsys, argv.split())
+        elapsed = time.thread_time() - start
+        tracemalloc.start()
+        try:
+            cli.run(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == err
+        assert (status, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert elapsed < 0.1
+        assert peak < 1 << 20
 
 
 class TestCountAndProb:

@@ -278,6 +278,12 @@ class TestLargeDepth:
 
 
 class TestAndrewsGordon:
+    def test_walk_past_recursion_limit_refused(self):
+        # the pruned walk nests one call per level; s = 900 still fits
+        assert abs(andrews_gordon_series(1e-30, 900).value - 1.0) < 1e-12
+        with pytest.raises(BudgetExceededError, match="^multi-sum walk at s=1000 nests"):
+            andrews_gordon_series(1e-30, 1000)
+
     def test_series_reference_values(self):
         ag = andrews_gordon_series(0.5, 2)
         # frozen from two independent routes (multi-sum and triple product)

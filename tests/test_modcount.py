@@ -175,6 +175,18 @@ class TestEnumerations:
         assert len(list(compositions(2, 50))) == 51
         assert len(list(compositions(4, 9))) == math.comb(9 + 3, 3)
 
+    def test_compositions_list_the_defining_set_in_order(self):
+        for s in range(1, 6):
+            for total in range(0, 7):
+                expected = sorted(t for t in compositions_upto(s, total) if sum(t) == total)
+                assert list(compositions(s, total)) == expected, (s, total)
+
+    def test_compositions_nest_no_calls(self):
+        # one generator per part hit the recursion limit near s = 1000
+        deep = list(compositions(1100, 1))
+        assert len(deep) == 1100
+        assert deep[0] == (0,) * 1099 + (1,) and deep[-1] == (1,) + (0,) * 1099
+
 
 def compositions_upto(s, n):
     # all types with rank at most n, brute force

@@ -18,7 +18,7 @@ from chainring.qseries import (
     q_multinomial,
 )
 
-from helpers import f2_subspace_count, naive_chain_sum, naive_q_multinomial
+from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial
 
 HALF = Fraction(1, 2)
 
@@ -273,6 +273,32 @@ class TestQMultinomial:
         with pytest.raises(BudgetExceededError, match="budget"):
             q_multinomial(3000, 4500, 3, base)
         assert time.perf_counter() - start < 1
+
+
+class _CostLog:
+    """Stands in for ``qseries.TOTAL_BUDGET``: logs each cost compared with it and admits it."""
+
+    def __init__(self):
+        self.costs: list = []
+
+    def __lt__(self, cost):
+        self.costs.append(cost)
+        return False
+
+
+def test_total_estimate_equals_loop(monkeypatch):
+    # the closed form is the loop's integer: (rows+1)(rows+2)(rows+3)/2 is a
+    # multiple of 3, so every floor division in the loop is exact
+    log = _CostLog()
+    monkeypatch.setattr(qseries, "TOTAL_BUDGET", log)
+    for base in (2, 3, Fraction(3, 2), Fraction(1, 3)):
+        for s in range(1, 40):
+            for rows in range(60):
+                for n, first in ((rows, range(rows, rows + 1)), (2 * rows + 3, range(rows // 2, rows + 1))):
+                    for remaining in (None, rows):
+                        qseries._check_total_budget(n, base, s, first, remaining)
+                        expected = loop_total_estimate(n, base, s, first, remaining)
+                        assert log.costs[-1] == expected, (base, s, rows, n, remaining)
 
 
 class TestBalancedMultinomial:

@@ -219,6 +219,12 @@ class TestRowSpan:
         with pytest.raises(BudgetExceededError):
             row_span(mat)  # 4^11 > 2^20
 
+    def test_budget_names_a_modulus_past_the_digit_limit(self):
+        # 2^20000 has 6021 digits, past what str prints by default
+        mat = ring_matrix(ConcreteRing(p=2, s=20000), [[1]])
+        with pytest.raises(BudgetExceededError, match=r"^\(2\^20000\)\^1 coefficient vectors exceed budget 1048576$"):
+            row_span(mat)
+
 
 class TestUnimodular:
     def test_examples(self):
@@ -297,6 +303,19 @@ class TestCensus:
         with pytest.raises(BudgetExceededError, match=message):
             enumerate_submodules(ConcreteRing(p=2, s=21), 1)
         assert time.perf_counter() - start < 1.0
+
+    def test_budgets_decided_on_exponents(self):
+        # (p^s)^(n n) and (p^s)^n are never raised when s n n or s n alone refuses
+        cases = [
+            (ConcreteRing(p=2, s=2), 100000, r"^4\^10000000000 generator matrices exceed budget 16777216$"),
+            (ConcreteRing(p=2, s=20000), 1, r"^\(2\^20000\)\^1 generator matrices exceed budget 16777216$"),
+            (ConcreteRing(p=3, s=40), 1, r"^\(3\^40\)\^1 generator matrices exceed budget 16777216$"),
+        ]
+        for ring, n, message in cases:
+            start = time.thread_time()
+            with pytest.raises(BudgetExceededError, match=message):
+                enumerate_submodules(ring, n)
+            assert time.thread_time() - start < 0.1
 
     def test_census_cost_follows_the_submodules(self):
         for ring, n in ((ConcreteRing(p=2, s=13), 1), (Z27, 2), (ConcreteRing(p=2, s=5), 2)):
