@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .approx import ApproxReal
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
 from .qseries import _check_count_budget
 from .simulate import SPAN_BUDGET, ConcreteRing, RingMatrix, _all_vectors, _check_power_budget, _types, sample_matrix
@@ -33,6 +33,13 @@ HOMOGENEOUS = "homogeneous"
 KINDS = (HAMMING, LEE, HOMOGENEOUS)
 
 MIN_DISTANCE_BUDGET = 1 << 20
+# codeword symbols all the trials of one GV experiment may weigh: a trial's
+# (p^s)^k codewords of n symbols, at least _TRIAL_FLOOR codewords for its
+# sampling and reduction.  A symbol costs 0.2-0.4 ns on one core (Lee on Z/4,
+# k = 8 at n = 12 to k = 10 at n = 300), and a trial at k = 3 costs 47 us at
+# n = 8 and 0.37 ms at n = 300; the largest admitted runs take 3-12 s
+TRIAL_BUDGET = 1 << 35
+_TRIAL_FLOOR = 1 << 14
 _TRIAL_CHUNK = 4096  # matrices drawn at once by the GV experiment; results do not depend on it
 # entries of min_distance_exhaustive's weight table: g columns share one index
 # while (2 p^s - 1)^g fits; results do not depend on it
@@ -438,7 +445,9 @@ def gv_random_experiment(
     k = ceil((1 - g_n(delta) - epsilon) n).  Per trial: is the row span free
     of rank k, and is the minimum distance above delta times the maximal
     weight.  Trial t draws from stream t of the seed, so any execution order
-    reproduces the same report.
+    reproduces the same report.  More than ``TRIAL_BUDGET`` codeword symbols
+    over all trials, max((p^s)^k, ``_TRIAL_FLOOR``) codewords of n symbols a
+    trial, raise BudgetExceededError before any matrix is sampled.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -462,6 +471,11 @@ def gv_random_experiment(
     if k < 1:
         raise ParameterError(f"computed k = {k} < 1; increase n or decrease epsilon")
     _check_power_budget(ring, k, MIN_DISTANCE_BUDGET, "codewords")
+    per_trial = max(ring.modulus ** k, _TRIAL_FLOOR) * n
+    if trials * per_trial > TRIAL_BUDGET:
+        raise BudgetExceededError(
+            f"{trials} trials of {per_trial} codeword symbols each exceed budget {TRIAL_BUDGET}"
+        )
 
     cutoff = Fraction(delta) * model.max_weight(n)
 

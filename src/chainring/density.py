@@ -12,14 +12,17 @@ system, which bounds it below by (K_2^2 + ... + K_s^2)/s and makes the tail
 super-geometric; that bound drives the certified truncation used here.
 
 Below the truncation cap almost every index vector's term lies under the last
-bit of the sum, so the evaluator walks the suffix sums depth first and stops a
-branch once a lower bound on its exponents passes E_max.  With the congruence
-the exponent is the sum of squared deviations of {0, N_1, ..., N_{s-1}}, and
-Welford's running update of it never decreases as values are added; without
-it the exponent is a sum of squares.  E_max is set so that all the dropped
+bit of the sum, so the evaluator walks the suffix sums depth first and visits
+only vectors that can still be kept.  Each level stops its loop once even the
+least completion of the values placed so far, every value still to come equal
+to the current one, has an exponent past E_max; with the congruence the last
+level steps through the one residue class that s | N_1 + ... + N_{s-1}
+allows, so every leaf it visits counts.  E_max is set so that all the dropped
 terms together weigh less than B <= 2^-80, and one exact ``math.fsum`` sign
 test proves that adding B to the kept terms cannot move the rounded sum.  The
 value and its error bound are therefore bit for bit those of the full sum.
+The certified floor of (x; x)_inf that bounds the dropped terms and the tail
+is computed once per base and policy.
 
 The same machinery evaluates the Andrews-Gordon series/product pair, which
 sandwiches the density: the series at 1/q from below and at 1/q^(s^2-s) from
@@ -48,7 +51,10 @@ from .qseries import euler_function, pochhammer_infinite
 _EPS = 2.0 ** -52
 # bound on the mass of the terms the multi-sum walk leaves out (see _multi_sum)
 _PRUNED_MASS = 2.0 ** -80
-# loop steps of all the multi-sum walks of one evaluation, about 9 s at 1.8M steps/s
+# loop steps of all the multi-sum walks of one evaluation: a step costs
+# 0.45-0.73 us on one core (more at large s, where each level's loop is short),
+# so a full budget takes 7.5-12 s; the largest admitted walk, q = 7 at s = 38,
+# takes 14.7M steps and 8.5 s
 WALK_BUDGET = 1 << 24
 # types one order-explore list may count; at n = 100, q = 2, s = 5 the CLI
 # lists 46,262 types in 6.5-10 s, and each type costs more at larger n or q
@@ -75,7 +81,13 @@ def cartan_quadratic_form(kvec: tuple[int, ...], s: int) -> Fraction:
     return Fraction(sum_sq) - Fraction(total * total, s)
 
 
+@lru_cache(maxsize=64)
 def _euler_floor(x: float, policy) -> float:
+    """Certified lower bound of (x; x)_inf, kept per base and policy.
+
+    density_bounds needs it at x = 1/q twice, and table1 repeats each
+    (q, policy) at three depths.
+    """
     e = euler_function(x, policy)
     lower = e.value - e.abs_error
     if lower <= 0.0:
@@ -123,54 +135,65 @@ def _pruned_terms(s: int, cap: int, poch: list[float], log_x: float, congruence:
     """Terms of the index vectors below ``cap`` whose exponent is at most ``e_max``.
 
     Walks the suffix sums N_{s-1} <= ... <= N_1 <= cap depth first and returns
-    the kept terms, whether any vector was cut off, and the loop steps taken
-    with the ``spent`` steps of earlier walks added; once those pass
-    ``WALK_BUDGET`` it raises BudgetExceededError.  With the congruence a
-    vector's exponent is the sum of squared deviations of {0, N_1, ..., N_{s-1}}.
-    For the m values placed so far, 0 included, m * (sum of squares) - (sum)^2
-    is m times their sum of squared deviations, and Welford's update (adding
-    m/(m+1) (N - mean)^2 for a new value N) shows that sum never decreases as
-    values are added.  Without the congruence the exponent N_1^2 + ... +
-    N_{s-1}^2 grows directly.  Either bound is exact in integers, and it grows
-    with k at each level, because the new N = running + k is at least every
-    value placed so far and so at least their mean: once it passes e_max the
-    level's loop can stop.  The walk nests one call per level, so a depth s
-    past Python's recursion limit raises BudgetExceededError.
+    the kept terms, in walk order, whether any vector was cut off, and the
+    loop steps taken with the ``spent`` steps of earlier walks added; once
+    those pass ``WALK_BUDGET`` it raises BudgetExceededError.  With the
+    congruence a vector's exponent is Q - T^2/s, where Q and T are the sum of
+    squares and the sum of {0, N_1, ..., N_{s-1}}; without it the exponent is
+    Q.  After a level places N, r more values are still to come, each at
+    least N.  The exponent is convex in them (its Hessian is 2 I - 2 J/s, and
+    r < s), and at the completion with all of them equal to N its gradient,
+    2 (N - mean), is >= 0, since N is at least every value placed.  So that
+    completion has the least exponent, s (Q + r N^2) - (T + r N)^2 over s
+    (Q + r N^2 without the congruence), exact in integers; it grows with k,
+    for the same reason, and once it passes e_max the level's loop stops.  At
+    the last level (r = 0) it is the exponent itself.  With the congruence
+    that level runs k only over the residue class that makes s divide T, so
+    every leaf visited counts.  Each level hands its Pochhammer divisor down
+    the walk, and a leaf divides by them innermost first.  ``cut`` is False
+    only when no vector below the cap was left out.  The walk nests one call
+    per level, so a depth s past Python's recursion limit raises
+    BudgetExceededError.
     """
     terms: list[float] = []
     cut = False
     steps = spent
     budget = WALK_BUDGET
+    limit = s * e_max if congruence else e_max
 
-    def descend(i, remaining, suffix, running, placed, total, sum_sq):
+    def descend(rest, remaining, suffix, running, total, sum_sq):
         nonlocal cut, steps
-        for k in range(remaining + 1):
+        start, step = 0, 1
+        if congruence and not rest:  # only the leaves with s | t count
+            start, step = -(total + running) % s, s
+        k = start - step  # an empty range of leaves takes no step
+        for k in range(start, remaining + 1, step):
             n = running + k
             t = total + n
             q = sum_sq + n * n
             if congruence:
-                if placed * q - t * t > placed * e_max:
-                    cut = True
-                    break
-            elif q > e_max:
+                least = s * (q + rest * n * n) - (t + rest * n) ** 2
+            else:
+                least = q + rest * n * n
+            if least > limit:
                 cut = True
                 break
-            if i > 1:
-                descend(i - 1, remaining - k, (k,) + suffix, n, placed + 1, t, q)
-            elif not (congruence and t % s):
+            if rest:
+                descend(rest - 1, remaining - k, (poch[k],) + suffix, n, t, q)
+            else:
                 exponent = (s * q - t * t) / s if congruence else q
-                term = math.exp(exponent * log_x)
-                for j in (k,) + suffix:
-                    term /= poch[j]
+                term = math.exp(exponent * log_x) / poch[k]
+                for p in suffix:
+                    term /= p
                 terms.append(term)
-        steps += k + 1  # this level's loop, counted once it ends
+        steps += (k - start) // step + 1  # this level's loop, counted once it ends
         if steps > budget:
             raise BudgetExceededError(
                 f"multi-sum walk at s = {s}, cap = {cap} exceeds its budget of {budget} steps"
             )
 
     try:
-        descend(s - 1, cap, (), 0, 2, 0, 0)
+        descend(s - 2, cap, (), 0, 0, 0)
     except RecursionError:  # descend nests one call per level
         raise BudgetExceededError(
             f"multi-sum walk at s={s} nests {s - 1} levels, deeper than Python's recursion limit"
@@ -235,6 +258,16 @@ def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> 
     return ApproxReal(value, tail + rounding)
 
 
+def _inverse(q: int) -> float:
+    """1/q as a float; ParameterError, naming q's bits, where q is past the float range."""
+    try:
+        return 1.0 / q
+    except OverflowError:
+        raise ParameterError(
+            f"q has {q.bit_length()} bits, past the float range, so the base 1/q has no float value"
+        ) from None
+
+
 def _reciprocal(series: ApproxReal, policy: TruncationPolicy) -> ApproxReal:
     """1/series, or NonconvergentError when no cap within the policy certifies it."""
     if series.abs_error >= series.value:
@@ -254,8 +287,9 @@ def limit_free_density(ring: ChainRingSpec, policy: TruncationPolicy | None = No
     """
     if ring.s == 1:
         return ApproxReal(1.0, 0.0)
+    x = _inverse(ring.q)
     policy = policy or default_policy()
-    return _reciprocal(_multi_sum(1.0 / ring.q, ring.s, policy, congruence=True), policy)
+    return _reciprocal(_multi_sum(x, ring.s, policy, congruence=True), policy)
 
 
 def andrews_gordon_series(qinv, s: int, policy: TruncationPolicy | None = None) -> ApproxReal:
@@ -318,6 +352,7 @@ def density_bounds(ring: ChainRingSpec, policy: TruncationPolicy | None = None) 
     """
     if ring.s < 2:
         raise ParameterError("density bounds need s >= 2")
+    x = _inverse(ring.q)
     exponent = ring.s * ring.s - ring.s
     upper_base = float(ring.q) ** -exponent
     if upper_base == 0.0:
@@ -326,7 +361,7 @@ def density_bounds(ring: ChainRingSpec, policy: TruncationPolicy | None = None) 
             f"at q = {ring.q}, s = {ring.s}"
         )
     policy = policy or default_policy()
-    lower = _reciprocal(andrews_gordon_series(1.0 / ring.q, ring.s, policy), policy)
+    lower = _reciprocal(andrews_gordon_series(x, ring.s, policy), policy)
     upper = _reciprocal(andrews_gordon_series(upper_base, ring.s, policy), policy)
     value = limit_free_density(ring, policy)
     return DensityResult(lower=lower, value=value, upper=upper, ring=ring)
@@ -339,8 +374,8 @@ def depth_two_density(q: int, policy: TruncationPolicy | None = None) -> ApproxR
     """
     if q < 2:
         raise ParameterError("q must be >= 2")
+    x = _inverse(q)
     policy = policy or default_policy()
-    x = 1.0 / q
     root = math.sqrt(x)
     plus = pochhammer_infinite(-root, x, policy)
     minus = pochhammer_infinite(root, x, policy)

@@ -12,7 +12,8 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
+from .qseries import TOTAL_BUDGET
 
 SCI_BELOW = Fraction(1, 10_000)
 SCI_DIGITS = 3  # significant digits of values below SCI_BELOW
@@ -94,18 +95,47 @@ def render_scientific(x: Fraction, sig: int = 3) -> str:
     return f"{body}e{exponent}" if exponent < 0 else f"{body}e+{exponent}"
 
 
+_LOG2_10 = math.log2(10)
+_RENDER_PRODUCTS = 6
+
+
+def _check_digits_budget(x: Fraction, digits: int):
+    """Raise BudgetExceededError if rendering ``digits`` digits of x would cost more than TOTAL_BUDGET.
+
+    The digits are the quotient of x 10^digits by x's denominator, of
+    b = digits log2(10) + max(0, bits of numerator - bits of denominator) + 1
+    bits.  Producing them costs about _RENDER_PRODUCTS products of b bits,
+    each priced as qseries prices one, b (b/64 + 1)^0.585 (Karatsuba): the
+    two powers of ten, the scaling and the subquadratic decimal conversion.
+    The long division costs b times the denominator's 64-bit words.
+    Measured on one core, 10^6 digits of a 7-bit ratio take 1.0-1.4 s and
+    3 * 10^6 take 4.6-6.8 s; the budget admits up to about 4.8 * 10^6, which
+    take 8.4 s.
+    """
+    num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
+    bits = digits * _LOG2_10 + max(0, num_bits - den_bits) + 1
+    cost = _RENDER_PRODUCTS * bits * (bits / 64 + 1) ** 0.585 + bits * (den_bits / 64 + 1)
+    if cost > TOTAL_BUDGET:
+        raise BudgetExceededError(
+            f"rendering {digits} digits needs about {cost:.2g} bit operations, "
+            f"over the budget of {TOTAL_BUDGET:.2g}"
+        )
+
+
 def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> str:
     """Render an exact nonnegative rational (or float) at fixed precision.
 
     ``hybrid_below`` controls when a value just under 1 is shown as
     ``1-<complement>``; the default is half an ulp of the fixed-point grid,
-    i.e. exactly when fixed-point rounding would print 1.
+    i.e. exactly when fixed-point rounding would print 1.  Digits past the
+    rendering budget raise BudgetExceededError before any is computed.
     """
     if digits < 0:
         raise ParameterError(f"precision must be nonnegative, got {digits}")
     x = Fraction(x)
     if x < 0:
         raise ValueError("rendering expects a nonnegative value")
+    _check_digits_budget(x, digits)
     if hybrid_below is None:
         hybrid_below = Fraction(1, 2 * 10 ** digits)
     if x == 0:

@@ -333,6 +333,9 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
 
 
 _MC_CHUNK = 4096
+# matrix entries one Monte Carlo census may draw and reduce: 4-9 s at 14-33 ns
+# an entry (6 x 6 over Z/9 to 20 x 20 over Z/4)
+MC_BUDGET = 1 << 28
 
 
 def monte_carlo_type_distribution(
@@ -341,11 +344,15 @@ def monte_carlo_type_distribution(
     """Empirical type counts over ``trials`` uniform matrices.
 
     Trials are split into fixed-size chunks, chunk i drawing from stream i, so
-    the census depends only on the seed and the trial count.
+    the census depends only on the seed and the trial count.  More than
+    ``MC_BUDGET`` entries, each trial counted as at least one, raise
+    BudgetExceededError before any is drawn.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     modcount._check_nonnegative(m=m, n=n)
+    if trials * max(m * n, 1) > MC_BUDGET:
+        raise BudgetExceededError(f"{trials} trials of {m}x{n} matrices exceed budget {MC_BUDGET} entries")
     counts: Counter = Counter()
     for stream, lo in enumerate(range(0, trials, _MC_CHUNK)):
         count = min(_MC_CHUNK, trials - lo)

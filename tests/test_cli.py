@@ -280,6 +280,12 @@ class TestConstantTimeRefusals:
             "code ball --metric hamming --p 2 --s 40 --n 1 --w 1",
             "code entropy --metric hamming --p 2 --s 20000 --n 1 --delta 0.1",
             "oracle enumerate --p 2 --s 20000 --n 1",
+            # the digits and the trials were never charged: --precision
+            # 100000000 did not finish in 10 minutes, a billion trials would
+            # run for days
+            "prob free-rank --n 5 --q 2 --s 2 --K 2 --precision 100000000",
+            "prob free-rank --n 5 --q 2 --s 2 --K 2 --precision 100000000 --format json",
+            "code gv-experiment --metric lee --p 2 --s 2 --n 12 --delta 0.05 --eps 0.15 --trials 1000000000 --seed 1",
         ],
     )
     def test_refused_at_once_in_little_memory(self, capsys, argv):
@@ -297,6 +303,25 @@ class TestConstantTimeRefusals:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert elapsed < 0.1
         assert peak < 1 << 20
+
+
+class TestFloatRangeBase:
+    # a base past the float range died in an OverflowError traceback
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"density limit --q {2 ** 1100} --s 2",
+            f"density bounds --q {2 ** 1100} --s 2",
+            f"density s2-closed --q {2 ** 1100}",
+            f"density limit --q {2 ** 1070} --s 3",
+        ],
+    )
+    def test_refused_at_once(self, capsys, argv):
+        start = time.thread_time()
+        status, out, err = run_cli(capsys, argv.split())
+        assert time.thread_time() - start < 0.1
+        assert (status, out) == (2, "")
+        assert err.startswith("error: q has ") and err.count("\n") == 1
 
 
 class TestCountAndProb:
@@ -357,6 +382,15 @@ class TestCountAndProb:
         result = json.loads(out)["result"]
         assert int(Decimal(result["numerator"])) == expected.numerator
         assert int(Decimal(result["denominator"])) == expected.denominator
+
+    def test_a_million_digits_still_admitted(self, capsys):
+        argv = "prob free-rank --n 5 --q 2 --s 2 --K 2 --precision 1000000".split()
+        status, out, err = run_cli(capsys, argv)
+        assert (status, err) == (0, "")
+        expected = free_fraction_by_rank(5, ChainRingSpec(q=2, s=2), 2)
+        fraction, decimal_text = out.rstrip("\n").split(" = ")
+        assert fraction == f"{expected.numerator}/{expected.denominator}"
+        assert len(decimal_text.split(".")[1]) == 10 ** 6
 
     def test_precision_past_the_str_digit_limit(self, capsys):
         argv = ["prob", "free-rank", "--n", "4", "--q", "2", "--s", "2", "--K", "2", "--precision", "5000"]

@@ -620,6 +620,21 @@ class TestExperiment:
             with pytest.raises(ParameterError, match=message):
                 gv_random_experiment(8, delta, epsilon, model, trials=5, seed=1)
 
+    def test_trials_past_the_budget_refused_at_once(self):
+        model = make_weight_model(LEE, Z4)
+        start = time.thread_time()
+        with pytest.raises(BudgetExceededError, match=r"^1000000000 trials of 786432 codeword symbols each exceed budget"):
+            gv_random_experiment(12, 0.05, 0.15, model, trials=10 ** 9, seed=1)
+        # small codes are charged the per-trial floor
+        floor = coding._TRIAL_FLOOR * 8
+        trials = coding.TRIAL_BUDGET // floor + 1
+        with pytest.raises(BudgetExceededError, match=rf"^{trials} trials of {floor} codeword symbols each"):
+            gv_random_experiment(8, 0.0, 0.7, model, trials=trials, seed=1)
+        assert time.thread_time() - start < 0.1
+        # the per-trial codeword budget still speaks first
+        with pytest.raises(BudgetExceededError, match=r"^4\^12 codewords exceed budget"):
+            gv_random_experiment(16, 0.0, 0.3, model, trials=10 ** 9, seed=1)
+
     def test_epsilon_error_reports_growth_rate(self):
         model = make_weight_model(LEE, Z4)
         with pytest.raises(ParameterError, match="g_n"):

@@ -1,6 +1,9 @@
+import ast
+import itertools
 import math
 import random
 from collections import Counter
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -261,6 +264,114 @@ class TestPrunedWalk:
         assert max(walks) <= density.WALK_BUDGET
         with pytest.raises(BudgetExceededError, match=f"budget of {totals[-1] - 1} steps"):
             evaluate("series", 0.5, 5, self.POLICY)
+
+
+def brute_terms(s, cap, poch, log_x, congruence, e_max):
+    """Every index vector with k-sum <= cap, in the walk's order: its kept terms and whether any was dropped.
+
+    A tuple (k_{s-1}, ..., k_1) from itertools.product is in lexicographic
+    order, the order of the walk's nested loops, and its running sums are
+    N_{s-1}, ..., N_1.  Each term is computed as the walk computes it.
+    """
+    kept, dropped = [], False
+    for ks in itertools.product(range(cap + 1), repeat=s - 1):
+        if sum(ks) > cap:
+            continue
+        suffix = list(itertools.accumulate(ks))
+        t = sum(suffix)
+        q = sum(n * n for n in suffix)
+        if congruence and t % s:
+            continue
+        if (s * q - t * t > s * e_max) if congruence else q > e_max:
+            dropped = True
+            continue
+        term = math.exp(((s * q - t * t) / s if congruence else q) * log_x)
+        for k in reversed(ks):
+            term /= poch[k]
+        kept.append(term)
+    return kept, dropped
+
+
+class TestLeastCompletionWalk:
+    @pytest.mark.parametrize("s,cap", [(2, 30), (3, 16), (4, 10), (5, 7), (6, 5), (7, 4)])
+    @pytest.mark.parametrize("congruence", [True, False])
+    @pytest.mark.parametrize("x", [0.5, 1 / 3, 0.2, 2.0 ** -12])
+    def test_same_terms_as_brute_force(self, s, cap, congruence, x):
+        poch = density._poch_table(x, cap)
+        log_x = math.log(x)
+        full, _ = brute_terms(s, cap, poch, log_x, congruence, math.inf)
+        cuts = set()
+        for e_max in (1, 3, 10, 40, math.inf):
+            terms, cut, steps = density._pruned_terms(s, cap, poch, log_x, congruence, e_max, spent=7)
+            expected, dropped = brute_terms(s, cap, poch, log_x, congruence, e_max)
+            assert [t.hex() for t in terms] == [t.hex() for t in expected]
+            assert steps > 7
+            # a walk that cuts nothing kept every vector below the cap
+            assert cut or (not dropped and terms == full)
+            cuts.add(cut)
+        assert cuts == {True, False}
+
+    def test_core_cell_takes_at_most_4000_steps(self, monkeypatch):
+        # q = 2, s = 6 at tail 1e-10 took 10,230 steps before the
+        # least-completion cut and the stepped leaves
+        real = density._pruned_terms
+        totals = []
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            totals.append(result[2])
+            return result
+
+        monkeypatch.setattr(density, "_pruned_terms", spy)
+        limit_free_density(ChainRingSpec(q=2, s=6), TruncationPolicy(target_tail=1e-10))
+        assert 0 < totals[-1] <= 4000
+
+    def test_euler_floor_computed_once_per_base(self, monkeypatch):
+        density._euler_floor.cache_clear()
+        calls = Counter()
+        real = density.euler_function
+
+        def spy(x, policy):
+            calls[x] += 1
+            return real(x, policy)
+
+        monkeypatch.setattr(density, "euler_function", spy)
+        density_bounds(ChainRingSpec(q=3, s=3), TruncationPolicy(target_tail=1e-11))
+        density_bounds(ChainRingSpec(q=3, s=4), TruncationPolicy(target_tail=1e-11))
+        assert calls[1 / 3] == 1
+
+
+def test_every_lru_cache_is_bounded():
+    # module-level caches must not grow without bound
+    package = Path(density.__file__).parent
+    decorators = 0
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for deco in getattr(node, "decorator_list", ()):
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                assert name != "cache", f"unbounded functools.cache in {path.name}"
+                if name == "lru_cache":
+                    decorators += 1
+                    args = list(deco.args) + [kw.value for kw in deco.keywords if kw.arg == "maxsize"]
+                    assert isinstance(deco, ast.Call) and args, f"lru_cache without maxsize in {path.name}"
+                    assert isinstance(args[0], ast.Constant) and isinstance(args[0].value, int), path.name
+    assert decorators >= 10
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("bits", [1070, 1100])
+    def test_base_past_the_float_range_named(self, bits):
+        ring = ChainRingSpec(q=2 ** bits, s=2)
+        message = rf"^q has {bits + 1} bits, past the float range"
+        for call in (lambda: limit_free_density(ring), lambda: density_bounds(ring), lambda: depth_two_density(ring.q)):
+            with pytest.raises(ParameterError, match=message):
+                call()
+
+    def test_largest_float_base_still_evaluated(self):
+        result = limit_free_density(ChainRingSpec(q=2 ** 1000, s=2))
+        assert result.value == 1.0 and result.abs_error < 1e-13
+        assert limit_free_density(ChainRingSpec(q=2 ** 1100, s=1)) == limit_free_density(ChainRingSpec(q=2, s=1))
 
 
 class TestLargeDepth:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from chainring.errors import BudgetExceededError
 from chainring.render import render_integer, render_ratio, render_scientific
 
 from helpers import decimal_length, leading_digits
@@ -92,6 +93,18 @@ class TestRatio:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             render_ratio(Fraction(-1, 2), 6)
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1), Fraction(3, 7), Fraction(1, 10 ** 9), 0.5])
+    def test_digits_past_the_budget_refused_at_once(self, value):
+        start = time.thread_time()
+        with pytest.raises(BudgetExceededError, match=r"^rendering 100000000 digits needs about .* budget"):
+            render_ratio(value, 10 ** 8)
+        assert time.thread_time() - start < 0.1
+
+    def test_long_ratio_at_few_digits_admitted(self):
+        # the digits' quotient sets the price, not the 400,000-bit ratio
+        value = Fraction(3 ** 252371, 2 ** 400000)
+        assert render_ratio(value, 30) == "0.371457612860878655962552633608"
 
 
 class TestInteger:

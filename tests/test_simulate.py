@@ -362,6 +362,13 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             monte_carlo_type_distribution(1, 2, Z4, 0, seed=1)
 
+    @pytest.mark.parametrize("m,n,trials", [(4, 4, 10 ** 9), (0, 3, simulate.MC_BUDGET + 1)])
+    def test_trials_past_the_budget_refused_at_once(self, m, n, trials):
+        start = time.thread_time()
+        with pytest.raises(BudgetExceededError, match=rf"^{trials} trials of {m}x{n} matrices exceed budget"):
+            monte_carlo_type_distribution(m, n, Z8, trials, seed=1)
+        assert time.thread_time() - start < 0.1
+
     def test_matches_exact_distribution(self):
         trials = 20_000
         census = monte_carlo_type_distribution(1, 2, Z4, trials, seed=2024)
