@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, density, modcount, render, simulate
 from . import coding as coding_mod
@@ -52,6 +52,72 @@ def _approx_payload(x: ApproxReal) -> dict:
     return {"value": x.value, "abs_error": x.abs_error}
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, out: list[str], indent: str) -> None:
+    """Append the text ``json.dumps(value, sort_keys=True, indent=2)`` gives ``value``.
+
+    ``indent`` is the indentation of the line ``value`` starts on.  The types
+    are tested in ``json``'s own order, and the leaves are formatted by the
+    functions ``json``'s encoder calls, so the bytes are the same; dict keys
+    must be strings.  ``json.dumps`` with an indent runs its pure-Python
+    encoder, which this walk outpaces.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, out, inner)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, out, inner)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte (see ``_write_json``)."""
+    out: list[str] = []
+    _write_json(value, out, "")
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | None = None) -> str:
     fmt = getattr(args, "format", "text")
     if fmt == "json":
@@ -72,7 +138,7 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows: list[list] | Non
             },
             "result": payload,
         }
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        return _json_text(envelope) + "\n"
     if fmt == "csv":
         if csv_rows is None:
             raise ParameterError(f"no CSV representation for {args.command_path!r}")
@@ -351,17 +417,12 @@ COMMANDS = (
 )
 
 
-# (group, subject) -> that command's parser in the tree, filled by build_parser
-SUBJECT_PARSERS: dict[tuple[str, str], argparse.ArgumentParser] = {}
-
-
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process from ``COMMANDS``.
 
     Parsing does not change an argparse parser, and every parse fills a
     fresh Namespace, so calls of ``run`` cannot see each other's arguments.
-    Each subject parser is also entered in ``SUBJECT_PARSERS``.
     """
     parser = argparse.ArgumentParser(
         prog="chainring",
@@ -379,32 +440,76 @@ def build_parser() -> argparse.ArgumentParser:
             flag, spec = OPTIONS[name]
             sub.add_argument(flag, **spec)
         sub.set_defaults(func=handler, command_path=f"{group} {subject}")
-        SUBJECT_PARSERS[group, subject] = sub
     return parser
+
+
+def _read_plain(argv) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a plain command line.
+
+    A line is plain when its first two words name a command, and every later
+    token is an exact ``--flag value`` pair of that command's ``OPTIONS``, or
+    a store-true flag alone; no value starts with ``-``, every value converts
+    with its option's ``type`` and lies in its ``choices``, and every
+    required flag is given.  A repeated flag keeps its last value, as in
+    argparse.  On such a line the tree fills exactly this namespace and
+    reports nothing: no command flag abbreviates ``--help`` or ``--version``,
+    so the top and group parsers hand every token down to the subject parser.
+    For any other line this returns None.
+    """
+    head = tuple(argv[:2])
+    for group, subject, options, handler in COMMANDS:
+        if head == (group, subject):
+            break
+    else:
+        return None
+    flags = {}
+    values = {"group": group, "subject": subject}
+    for name in ("format", "precision", *options.split()):
+        flag, spec = OPTIONS[name]
+        dest = flag[2:].replace("-", "_")
+        flags[flag] = dest, spec
+        values[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    given = set()
+    index = 2
+    while index < len(argv):
+        if argv[index] not in flags:
+            return None
+        dest, spec = flags[argv[index]]
+        if spec.get("action") == "store_true":
+            values[dest] = True
+            index += 1
+            continue
+        if index + 1 == len(argv) or argv[index + 1].startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(argv[index + 1])
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+        given.add(dest)
+        index += 2
+    if any(spec.get("required") and dest not in given for dest, spec in flags.values()):
+        return None
+    return argparse.Namespace(**values, func=handler, command_path=f"{group} {subject}")
 
 
 def run(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None); return its exit status.
 
-    When the first two words name a command, its arguments are read only by
-    that command's own subject parser, into a namespace holding the two
-    words, as the tree's nested parse would fill it; strings the subject
-    parser does not know are reported by the top-level parser, as the tree
-    reports them.  Any other command line goes through the whole tree,
-    which reports the help, the version or the usage error.  An argument
-    ``--=...`` also goes through the tree: the top-level parser rejects it
-    as ambiguous between --help and --version before any subparser sees it.
+    A plain command line (see ``_read_plain``) is read straight from the
+    command table, into the namespace the parser tree would fill, and the
+    tree is never built.  Every other line goes whole through the tree of
+    ``build_parser``, which prints the help, the version or the usage error,
+    so what argparse prints and the exit status it gives are its own, byte
+    for byte.
     """
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    sub = SUBJECT_PARSERS.get(tuple(argv[:2]))
-    if sub is None or any(arg.startswith("--=") for arg in argv):
-        args = parser.parse_args(argv)
-    else:
-        args, extra = sub.parse_known_args(argv[2:], argparse.Namespace(group=argv[0], subject=argv[1]))
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         status, output = args.func(args)
     except (ParameterError, NonconvergentError) as exc:

@@ -228,8 +228,9 @@ def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> 
     repeats; e_max = inf keeps every term, and a walk that cuts nothing needs
     no test.  The walks share ``WALK_BUDGET`` loop steps.
 
-    When no cap up to ``policy.max_index`` bounds the tail, NonconvergentError
-    is raised before any walk.
+    When no cap up to ``policy.max_index`` bounds the tail, or 2^80 B / x^e_max,
+    which sets the first e_max, is past the float range, NonconvergentError is
+    raised before any walk.
     """
     scale = s if congruence else 1
     euler_low = _euler_floor(x, policy)
@@ -241,8 +242,14 @@ def _multi_sum(x: float, s: int, policy: TruncationPolicy, congruence: bool) -> 
     poch = _poch_table(x, cap)
     log_x = math.log(x)
 
-    weight = 2.0 * math.comb(cap + s - 1, s - 1) / euler_low ** (s - 1)
-    e_max = max(1, math.ceil(math.log(weight / _PRUNED_MASS) / -log_x))
+    try:
+        weight = 2.0 * math.comb(cap + s - 1, s - 1) / euler_low ** (s - 1)
+        e_max = max(1, math.ceil(math.log(weight / _PRUNED_MASS) / -log_x))
+    except OverflowError:
+        raise NonconvergentError(
+            f"series not certified within max_index={policy.max_index}: "
+            f"at s = {s} the bound on the terms a walk drops is past the float range"
+        ) from None
     steps = 0
     while True:
         terms, cut, steps = _pruned_terms(s, cap, poch, log_x, congruence, e_max, spent=steps)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chainring
 from chainring import cli, density, simulate
@@ -617,11 +620,18 @@ DISPATCH_CASES = {
     "equals form": lambda opts: [*opts, "--format=json"],
     "version after": lambda opts: [*opts, "--version"],
     "ambiguous at the top": lambda opts: [*opts, "--=x"],
+    "flag twice": lambda opts: [*opts, "--format", "csv", "--precision", "3", "--format", "json", "--precision", "9"],
+    "negative value": lambda opts: [*opts, "--n", "-3"],
+    "flag without value": lambda opts: [*opts, "--precision"],
+    "flag as value": lambda opts: [*opts[:-1], "--precision", "--format", "json"],
+    "unknown choice": lambda opts: [*opts, "--format", "yaml"],
+    "empty value": lambda opts: [*opts[:-1], ""],
+    "store-true flag": lambda opts: [*opts, "--closed"],
 }
 
 
 class TestSubjectDispatch:
-    """``run`` parses a command with its subject parser alone, with the tree's bytes."""
+    """``run`` reads a plain command line from the command table, with the tree's bytes."""
 
     @pytest.mark.parametrize("case", DISPATCH_CASES)
     @pytest.mark.parametrize("group,subject", SUBCOMMANDS)
@@ -639,11 +649,13 @@ class TestSubjectDispatch:
             return real(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        cli.build_parser.cache_clear()
         for group, subject in SUBCOMMANDS:
-            parsed_by.clear()
-            argv = [group, subject, *SURFACE["json"][f"{group} {subject}"]["argv"]]
-            assert _outcome(capsys, cli.run, argv)[0] == 0
-            assert parsed_by == [f"chainring {group} {subject}"]
+            for fmt in ([], ["--format", "json"]):
+                argv = [group, subject, *SURFACE["json"][f"{group} {subject}"]["argv"], *fmt]
+                assert _outcome(capsys, cli.run, argv)[0] == 0
+        assert parsed_by == []
+        assert cli.build_parser.cache_info().misses == 0
         for argv, parsers, line in (
             (["bogus", "rank"], ["chainring"], BAD_GROUP),
             (["count", "bogus"], ["chainring", "chainring count"],
@@ -653,6 +665,49 @@ class TestSubjectDispatch:
             parsed_by.clear()
             status, out, err = _outcome(capsys, cli.run, argv)
             assert (status, out, err.splitlines()[-1], parsed_by) == (2, "", line, parsers)
+
+    @pytest.mark.parametrize("group,subject", SUBCOMMANDS)
+    def test_reader_fills_the_tree_namespace(self, group, subject):
+        for fmt in ([], ["--format", "json"]):
+            argv = [group, subject, *SURFACE["json"][f"{group} {subject}"]["argv"], *fmt]
+            assert vars(cli._read_plain(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_reader_knows_every_option_keyword(self):
+        for name, (flag, spec) in cli.OPTIONS.items():
+            assert set(spec) <= {"type", "default", "required", "choices", "action"}, name
+            assert spec.get("action", "store_true") == "store_true", name
+            # the top-level parser would take an abbreviation of its own flags as that flag
+            assert not any(own.startswith(flag) for own in ("--help", "--version")), name
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+    | st.text()
+    | st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, [b"bytes"], {"key": object()}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(value)
 
 
 class TestDeterminism:

@@ -117,6 +117,17 @@ class TestLimitDensity:
         with pytest.raises(NonconvergentError, match="max_index=512"):
             limit_free_density(ChainRingSpec(q=3, s=30))
 
+    @pytest.mark.parametrize("x,s", [(0.5, 270), (0.5, 400), (0.3, 880)])
+    def test_dropped_term_bound_past_float_range_raises_before_the_walk(self, monkeypatch, x, s):
+        # the tail is certified, but the bound that sets the first e_max overflows:
+        # a float infinity at x = 1/2, and at x = 0.3 the binomial itself
+        def forbidden(*args, **kwargs):
+            raise AssertionError("walked a series whose dropped terms no float bounds")
+
+        monkeypatch.setattr(density, "_pruned_terms", forbidden)
+        with pytest.raises(NonconvergentError, match=rf"max_index=512: at s = {s} the bound"):
+            andrews_gordon_series(x, s)
+
     @pytest.mark.parametrize("q,s,exponent", [(3, 30, 870), (2, 34, 1122)])
     def test_underflowing_upper_base_named(self, monkeypatch, q, s, exponent):
         monkeypatch.setattr(density, "andrews_gordon_series", None)  # checked before any series
