@@ -62,6 +62,11 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+# the leaves of exactly these types are written inside the container loops,
+# with no call of _write_json per value; the rest, subclasses too, go through it
+_JSON_LEAVES = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
 def _write_json(value, out: list[str], indent: str) -> None:
     """Append the text ``json.dumps(value, sort_keys=True, indent=2)`` gives ``value``.
 
@@ -90,8 +95,12 @@ def _write_json(value, out: list[str], indent: str) -> None:
         inner = indent + "  "
         separator = "[\n" + inner
         for item in value:
-            out.append(separator)
-            _write_json(item, out, inner)
+            leaf = _JSON_LEAVES.get(type(item))
+            if leaf is None:
+                out.append(separator)
+                _write_json(item, out, inner)
+            else:
+                out.append(separator + leaf(item))
             separator = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(value, dict):
@@ -103,8 +112,12 @@ def _write_json(value, out: list[str], indent: str) -> None:
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + encode_basestring_ascii(key) + ": ")
-            _write_json(item, out, inner)
+            leaf = _JSON_LEAVES.get(type(item))
+            if leaf is None:
+                out.append(separator + encode_basestring_ascii(key) + ": ")
+                _write_json(item, out, inner)
+            else:
+                out.append(separator + encode_basestring_ascii(key) + ": " + leaf(item))
             separator = ",\n" + inner
         out.append("\n" + indent + "}")
     else:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _chain_sum, _exact_product, q_multinomial
+from .qseries import _check_count_budget, _exact_product, _rank_tail, _unit_bits, gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -153,6 +153,12 @@ def _check_nonnegative(**sizes: int):
             raise ParameterError(f"{name} must be nonnegative, got {size}")
 
 
+def _check_rank(n: int, rank: int):
+    _check_nonnegative(n=n)
+    if not 0 <= rank <= n:
+        raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
+
+
 def _check_length(n: int, ring: ChainRingSpec, ell: int):
     _check_nonnegative(n=n)
     if not 0 <= ell <= n * ring.s:
@@ -228,9 +234,7 @@ def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
     Raises BudgetExceededError when the product would exceed
     ``qseries.TOTAL_BUDGET``.
     """
-    _check_nonnegative(n=n)
-    if not 0 <= rank <= n:
-        raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
+    _check_rank(n, rank)
     return _exact_product(ring.q, [(n, rank)], (n - rank) * rank * (ring.s - 1))
 
 
@@ -298,13 +302,13 @@ def total_by_length(n: int, ring: ChainRingSpec, ell: int) -> int:
 def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     """Number of submodules of R^n of the given rank (all types combined).
 
-    Rank is mu_1.  Raises BudgetExceededError when the chain sum would
-    exceed ``qseries.TOTAL_BUDGET``.
+    Rank is mu_1, so the total is [n, rank]_q times the chain sum T below
+    it (``qseries._rank_tail``).  Raises BudgetExceededError when the chain
+    sum would exceed ``qseries.TOTAL_BUDGET``.
     """
-    _check_nonnegative(n=n)
-    if not 0 <= rank <= n:
-        raise ParameterError(f"rank must lie in [0, {n}], got {rank}")
-    return _chain_sum(n, ring.q, ring.s, range(rank, rank + 1), None)
+    _check_rank(n, rank)
+    tail = _rank_tail(n, ring.q, ring.s, rank)  # first, so that its budget checks come first
+    return gaussian_binomial(n, rank, ring.q) * tail
 
 
 def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:
@@ -316,9 +320,22 @@ def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:
 
 
 def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
-    """Exact probability that a uniformly random rank-K submodule is free."""
-    total = total_by_rank(n, ring, rank)  # first, so that its budget check comes first
-    return Fraction(count_free(n, ring, rank), total)
+    """Exact probability that a uniformly random rank-K submodule is free.
+
+    count_free / total_by_rank, where both carry [n, K]_q: the total is
+    [n, K]_q T with T the chain sum below the top part
+    (``qseries._rank_tail``), so the fraction is q^((n - K) K (s - 1)) / T
+    and [n, K]_q is never built.  That quotient is in lowest terms: for
+    K < n every chain in T but the all-zero one carries a power of q, so
+    T = 1 mod q shares no prime with q; for K = n the numerator is 1.  It is
+    charged as the old quotient was, in the same order: the total's budget
+    checks, its walk, then count_free's.
+    """
+    _check_rank(n, rank)
+    tail = _rank_tail(n, ring.q, ring.s, rank)
+    exponent = (n - rank) * rank * (ring.s - 1)
+    _check_count_budget(_unit_bits(ring.q), [(n, rank)], exponent)  # count_free's charge
+    return Fraction(ring.q**exponent, tail)
 
 
 def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> int:

@@ -269,6 +269,34 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     A chain is weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i),
     which at a prime power base counts the submodules of that shape; with
     ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
+    It is the walk of _chain_walk from the first position, below n.
+    """
+    return _chain_walk(n, base, s, first, remaining)(1, n, remaining)
+
+
+def _rank_tail(n: int, base, s: int, rank: int):
+    """The rank sum below its top part: [n, rank] T is the rank sum of _chain_sum.
+
+    T sums over rank >= mu_2 >= ... >= mu_s >= 0 the weights
+    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), so it is the walk
+    of the rank sum from the second position, below rank.  It is charged as
+    the whole rank sum is, in the same order: the chain sum's budget, then
+    the [n, rank] that the sum reads at the first position, then the walk.
+    At an integer base q and rank < n every chain but the all-zero one
+    carries q^((n - rank) mu_2), so T = 1 mod q.
+    """
+    walk = _chain_walk(n, base, s, range(rank, rank + 1), None)
+    _check_count_budget(_unit_bits(base), [(n, rank)], 0)
+    return walk(2, rank, None)
+
+
+def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
+    """Charge the chain sum of _chain_sum to the budget and return its walk.
+
+    walk(pos, prev, remaining) sums over the parts mu_pos >= ... >= mu_s below
+    mu_{pos-1} = prev (with mu_pos in ``first`` at pos = 1), with mu_pos + ...
+    + mu_s = remaining when that is set, each chain weighted by the factors
+    of positions pos..s; past the last position it is 1.
     Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
     what remains) and summed by Horner; under a length the last two parts
     are one _diagonal, so s = 2 is that diagonal below n.  At s >= 3 the
@@ -285,8 +313,8 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     P = m (n - m), m = min(max(first), floor(n / 2)), and suffix(pos, ...) holds
     c^((s - pos + 1) P) times its sum: Horner runs in x = a^(n - mu_{i-1}),
     each term is padded by c^(P - mu (n - mu)), and the sum is one
-    Fraction(total, c^(s P)) at the end.  At c = 1 no pad is multiplied in
-    and the sum is an int.
+    Fraction(total, c^((s - pos + 1) P)) at the end.  At c = 1 no pad is
+    multiplied in and the sum is an int.
 
     The walk nests one call per position, so a depth s past Python's
     recursion limit raises BudgetExceededError.
@@ -348,13 +376,18 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
         memo[key] = total
         return total
 
-    try:
-        total = suffix(1, n, remaining)
-    except RecursionError:  # suffix nests one call per position
-        raise BudgetExceededError(
-            f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
-        ) from None
-    return total if c == 1 else Fraction(total, c ** (s * top))
+    def walk(pos: int, prev: int, remaining: int | None):
+        if pos > s:
+            return 1 if c == 1 else Fraction(1)
+        try:
+            total = suffix(pos, prev, remaining)
+        except RecursionError:  # suffix nests one call per position
+            raise BudgetExceededError(
+                f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
+            ) from None
+        return total if c == 1 else Fraction(total, c ** ((s - pos + 1) * top))
+
+    return walk
 
 
 def _diagonal(n: int, a: int, c: int, pad: int, prev: int, ell: int, lo: int, hi: int, binomial, lookup):

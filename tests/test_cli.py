@@ -807,12 +807,13 @@ class TestModuleEntryPoint:
         env = dict(os.environ)
         src = str(Path(chainring.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "chainring.cli", "--version"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 0
-        assert done.stdout == "chainring 0.1.0\n"
+        for module in ("chainring.cli", "chainring"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, "--version"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 0, module
+            assert done.stdout == "chainring 0.1.0\n", module
 
     def test_python_m_reads_its_command_line(self, capsys):
         env = dict(os.environ)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from chainring import modcount
+from chainring import modcount, qseries
 from chainring.errors import BudgetExceededError, ParameterError
 from chainring.modcount import (
     ChainRingSpec,
@@ -27,9 +27,10 @@ from chainring.modcount import (
     types_of_length,
     unimodular_probability,
 )
-from chainring.qseries import gaussian_binomial, pochhammer_finite
+from chainring.qseries import _rank_tail, gaussian_binomial, pochhammer_finite
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
+from helpers import naive_chain_sum
 
 Z4 = ChainRingSpec(q=2, s=2)
 
@@ -344,6 +345,28 @@ class TestCountBudget:
         assert count_by_shape(100000, ring, (1, 1)) == count_free(100000, ring, 1)
 
 
+_OVER = ", over the budget of 1.4e+11"
+_DEEP = ", deeper than Python's recursion limit"
+# (n, q, s, K, refusal of total_by_rank, refusal of free_fraction_by_rank),
+# None where admitted: what count_free / total_by_rank gave when it built
+# [n, K].  It was charged the chain sum's budget, then [n, K], then walked
+# (a walk too deep refuses (40000, s=1000) before count_free's charge
+# would), then count_free's charge; (690000, s=2, K=3) passes all but the last.
+RANK_REFUSALS = [
+    (4000, 2, 3, 2000, *["exact total at n=4000, s=3 needs about 4.8e+13 bit operations" + _OVER] * 2),
+    (5000, 2, 2, 2500, *["exact total at n=5000, s=2 needs about 3.9e+13 bit operations" + _OVER] * 2),
+    (300000, 2, 1, 10, *["exact count needs about 2.8e+11 bit operations" + _OVER] * 2),
+    (300000, 2, 2, 10, *["exact count needs about 2.8e+11 bit operations" + _OVER] * 2),
+    (10**7, 2, 1, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
+    (10**7, 2, 2, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
+    (690000, 2, 2, 3, None, "exact count needs about 1.4e+11 bit operations" + _OVER),
+    (40000, 2, 1000, 1, *["exact total at n=40000, s=1000 nests 1000 positions" + _DEEP] * 2),
+    (100000, 2, 1, 3, None, None),
+    (100000, 2, 2, 3, None, None),
+    (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd
+]
+
+
 class TestFreeFractions:
     def test_by_length_examples(self, z4_census):
         assert free_fraction_by_length(2, Z4, 2) == Fraction(6, 7)
@@ -362,6 +385,60 @@ class TestFreeFractions:
         assert render_ratio(phi2, 6) == "1.07e-31"
         phi3 = free_fraction_by_rank(100, ChainRingSpec(q=3, s=2), 40)
         assert render_ratio(phi3, 6) == "1-1.4e-10"
+
+    def test_by_rank_is_the_old_quotient_in_lowest_terms(self):
+        # the old quotient count_free / total_by_rank, with the total summed
+        # chain by chain; the new one is q^e / T, and T = 1 mod q below n
+        for q in (2, 3, 4, 5, 7, 9):
+            for s in range(1, 5):
+                ring = ChainRingSpec(q=q, s=s)
+                for n in range(13):
+                    for k in range(n + 1):
+                        value = free_fraction_by_rank(n, ring, k)
+                        total = naive_chain_sum(n, q, s, range(k, k + 1), None)
+                        assert value == Fraction(count_free(n, ring, k), total), (q, s, n, k)
+                        assert value.numerator == q ** ((n - k) * k * (s - 1)), (q, s, n, k)
+                        if k < n:
+                            assert _rank_tail(n, q, s, k) % q == 1, (q, s, n, k)
+
+    @pytest.mark.parametrize("p,s,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 1, 4)])
+    def test_by_rank_matches_the_census(self, p, s, n):
+        # free submodules of rank K over all submodules of rank K, counted one by one
+        census = enumerate_submodules(ConcreteRing(p=p, s=s), n)
+        for k in range(n + 1):
+            free = census.counts.get((k,) + (0,) * (s - 1), 0)
+            of_rank = sum(count for mtype, count in census.counts.items() if sum(mtype) == k)
+            assert free_fraction_by_rank(n, ChainRingSpec(q=p, s=s), k) == Fraction(free, of_rank), k
+
+    def test_by_rank_builds_no_binomial_over_n(self, monkeypatch):
+        # [n, K] cancels between count_free and the total, so it is never asked for
+        asked = []
+        binomial = qseries.gaussian_binomial
+        spy = lambda m, k, base: asked.append((m, k)) or binomial(m, k, base)  # noqa: E731
+        monkeypatch.setattr(qseries, "gaussian_binomial", spy)
+        monkeypatch.setattr(modcount, "gaussian_binomial", spy)
+        for q, s in ((2, 1), (3, 2), (2, 3), (5, 4)):
+            for k in range(13):
+                free_fraction_by_rank(12, ChainRingSpec(q=q, s=s), k)
+        assert not [m for m, _ in asked if m == 12]
+        total_by_rank.__wrapped__(12, ChainRingSpec(q=3, s=2), 5)  # the total still builds it
+        assert asked[-1] == (12, 5)
+
+    @pytest.mark.parametrize(
+        "n,q,s,k,total_refusal,fraction_refusal",
+        [pytest.param(*case, id="-".join(map(str, case[:4]))) for case in RANK_REFUSALS],
+    )
+    def test_by_rank_refuses_as_the_old_quotient(self, n, q, s, k, total_refusal, fraction_refusal):
+        ring = ChainRingSpec(q=q, s=s)
+        start = time.perf_counter()
+        for fn, refusal in ((total_by_rank.__wrapped__, total_refusal), (free_fraction_by_rank, fraction_refusal)):
+            if refusal is None:
+                fn(n, ring, k)
+            else:
+                with pytest.raises(BudgetExceededError) as info:
+                    fn(n, ring, k)
+                assert str(info.value) == refusal
+        assert time.perf_counter() - start < 2
 
 
 class TestMatrixCounts:

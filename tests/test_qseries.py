@@ -10,6 +10,7 @@ from chainring.errors import BudgetExceededError, NonconvergentError, ParameterE
 from chainring.qseries import (
     _chain_sum,
     _exact_product,
+    _rank_tail,
     balanced_multinomial,
     euler_function,
     gaussian_binomial,
@@ -209,6 +210,9 @@ class TestQMultinomial:
                 for k in range(n + 1):
                     rank = range(k, k + 1)
                     assert _chain_sum(n, base, s, rank, None) == naive_chain_sum(n, base, s, rank, None), (n, s, k)
+                    tail = _rank_tail(n, base, s, k)
+                    assert type(tail) is kind
+                    assert gaussian_binomial(n, k, base) * tail == _chain_sum(n, base, s, rank, None), (n, s, k)
 
     def test_rational_walk_builds_no_fraction_per_step(self, monkeypatch):
         # a base a/c runs on homogenised integers: one Fraction for the sum,
