@@ -377,10 +377,9 @@ def density_bounds(ring: ChainRingSpec, policy: TruncationPolicy | None = None) 
 def depth_two_density(q: int, policy: TruncationPolicy | None = None) -> ApproxReal:
     """Closed form of the limit density for nilpotency index 2.
 
-    2 / ((-sqrt(x); x)_inf + (sqrt(x); x)_inf) at x = 1/q.
+    2 / ((-sqrt(x); x)_inf + (sqrt(x); x)_inf) at x = 1/q, q a prime power.
     """
-    if q < 2:
-        raise ParameterError("q must be >= 2")
+    ChainRingSpec(q, 2)  # refuses a q that is no residue field size, as every ring does
     x = _inverse(q)
     policy = policy or default_policy()
     root = math.sqrt(x)

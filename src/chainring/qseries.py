@@ -263,47 +263,42 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
         )
 
 
-def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
-    """Sum over chains n = mu_0 >= mu_1 >= ... >= mu_s >= 0 with mu_1 in ``first``.
-
-    A chain is weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i),
-    which at a prime power base counts the submodules of that shape; with
-    ``remaining`` set only chains with mu_1 + ... + mu_s = remaining count.
-    It is the walk of _chain_walk from the first position, below n.
-    """
-    return _chain_walk(n, base, s, first, remaining)(1, n, remaining)
-
-
 def _rank_tail(n: int, base, s: int, rank: int):
-    """The rank sum below its top part: [n, rank] T is the rank sum of _chain_sum.
+    """The rank tail T below mu_1 = rank: [n, rank] T is the rank sum.
 
     T sums over rank >= mu_2 >= ... >= mu_s >= 0 the weights
-    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), so it is the walk
-    of the rank sum from the second position, below rank.  It is charged as
-    the whole rank sum is, in the same order: the chain sum's budget, then
-    the [n, rank] that the sum reads at the first position, then the walk.
-    At an integer base q and rank < n every chain but the all-zero one
-    carries q^((n - rank) mu_2), so T = 1 mod q.
+    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), the chain sum of
+    _chain_sum with mu_1 = rank, walked from the second position.  At an
+    integer base q and rank < n every chain but the all-zero one carries
+    q^((n - rank) mu_2), so T = 1 mod q.
     """
-    walk = _chain_walk(n, base, s, range(rank, rank + 1), None)
-    _check_count_budget(_unit_bits(base), [(n, rank)], 0)
-    return walk(2, rank, None)
+    return _chain_sum(n, base, s, range(rank, rank + 1), None)
 
 
-def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
-    """Charge the chain sum of _chain_sum to the budget and return its walk.
+def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
+    """Charge a chain sum to the budget and walk it: a length sum or a rank tail.
 
-    walk(pos, prev, remaining) sums over the parts mu_pos >= ... >= mu_s below
-    mu_{pos-1} = prev (with mu_pos in ``first`` at pos = 1), with mu_pos + ...
-    + mu_s = remaining when that is set, each chain weighted by the factors
-    of positions pos..s; past the last position it is 1.
+    A chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 with mu_1 in ``first`` is
+    weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), which at
+    a prime power base counts the submodules of that shape.  With
+    ``remaining`` set, the sum is over the chains with mu_1 + ... + mu_s =
+    remaining, walked from the first position below n (q_multinomial).  With
+    ``remaining`` None, ``first`` is one rank K, and the sum is over the parts
+    below K, walked from the second position: the rank tail of _rank_tail.
+    Either is charged as the whole chain sum over ``first``: _check_total_budget,
+    then, where ``first`` lies below n, every [n, mu], mu in ``first``,
+    smallest first (a rank tail reads no [n, K], but [n, K] T is what its
+    callers build or cancel), so that a long thin sum is refused at once, on
+    the first binomial over budget; then the table is built and the chains
+    walked.
+
     Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
     what remains) and summed by Horner; under a length the last two parts
     are one _diagonal, so s = 2 is that diagonal below n.  At s >= 3 the
     middle positions read row segments of every row up to max(first), again
     and again, so those rows are built once as a q-Pascal table.  At s <= 2
     the walk reads one row (rank) or one diagonal (length), which would not
-    repay a quadratic table: row K of a rank sum is walked by _binomial_row,
+    repay a quadratic table: row K of a rank tail is walked by _binomial_row,
     and every other entry comes from gaussian_binomial.
 
     The walk runs on integers at every base.  At b = a/c in lowest terms it
@@ -313,17 +308,14 @@ def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
     P = m (n - m), m = min(max(first), floor(n / 2)), and suffix(pos, ...) holds
     c^((s - pos + 1) P) times its sum: Horner runs in x = a^(n - mu_{i-1}),
     each term is padded by c^(P - mu (n - mu)), and the sum is one
-    Fraction(total, c^((s - pos + 1) P)) at the end.  At c = 1 no pad is
-    multiplied in and the sum is an int.
+    Fraction(total, c^((s - pos + 1) P)) at the first position walked.  At
+    c = 1 no pad is multiplied in and the sum is an int.
 
     The walk nests one call per position, so a depth s past Python's
     recursion limit raises BudgetExceededError.
     """
     _check_total_budget(n, base, s, first, remaining)
-    if remaining is not None and first[-1] < n:
-        # the walk reads [n, mu] in decreasing mu, and at s = 2 only
-        # [n, first[0]]; charge every one up front, smallest first, so that a
-        # long thin sum is refused at once, on the first binomial over budget
+    if first[-1] < n:
         unit = _unit_bits(base)
         for mu in first:
             _check_count_budget(unit, [(n, mu)], 0)
@@ -346,9 +338,7 @@ def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
         key = (pos, prev, remaining)
         if key in memo:
             return memo[key]
-        if pos == 1:
-            lo, hi = first[0], first[-1]
-        elif remaining is None:
+        if remaining is None:
             lo, hi = 0, prev
         else:
             # weak decrease bounds the part by prev, and the s - pos parts still to
@@ -361,7 +351,7 @@ def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
         if prev < len(pascal):
             binomials = reversed(pascal[prev][lo : hi + 1])
         elif pos > 1 and not lookup:
-            # a rank sum's last row at s = 2, walked from [prev, 0] = [prev, prev]
+            # a rank tail's one row at s = 2, walked from [prev, 0] = [prev, prev]
             binomials = _binomial_row(prev, a, c)
         else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
             binomials = (binomial(prev, mu) for mu in parts)
@@ -376,18 +366,15 @@ def _chain_walk(n: int, base, s: int, first: range, remaining: int | None):
         memo[key] = total
         return total
 
-    def walk(pos: int, prev: int, remaining: int | None):
-        if pos > s:
-            return 1 if c == 1 else Fraction(1)
-        try:
-            total = suffix(pos, prev, remaining)
-        except RecursionError:  # suffix nests one call per position
-            raise BudgetExceededError(
-                f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
-            ) from None
-        return total if c == 1 else Fraction(total, c ** ((s - pos + 1) * top))
-
-    return walk
+    # a length sum starts at the first position below n, a rank tail at the second below K
+    start, prev = (1, n) if remaining is not None else (2, first[0])
+    try:
+        total = suffix(start, prev, remaining) if start <= s else 1
+    except RecursionError:  # suffix nests one call per position
+        raise BudgetExceededError(
+            f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
+        ) from None
+    return total if c == 1 else Fraction(total, c ** ((s - start + 1) * top))
 
 
 def _diagonal(n: int, a: int, c: int, pad: int, prev: int, ell: int, lo: int, hi: int, binomial, lookup):

@@ -240,9 +240,6 @@ class TypeCensus:
     counts: dict
     total: int
 
-    def sorted_items(self):
-        return sorted(self.counts.items())
-
 
 def enumerate_submodules(ring: ConcreteRing, n: int) -> TypeCensus:
     """Exhaustive census of all submodules of R^n, classified by type.

@@ -123,7 +123,11 @@ def naive_q_multinomial(n: int, ell: int, s: int, base):
 
 
 def naive_chain_sum(n: int, base, s: int, first, remaining: int | None):
-    """Chain-by-chain reference for ``qseries._chain_sum``.
+    """Chain-by-chain reference for the chain sums of ``qseries``.
+
+    With ``remaining`` set it is a length sum (``q_multinomial``); with
+    ``remaining`` None and ``first`` one rank K it is the rank sum
+    [n, K] T, T the rank tail of ``qseries._rank_tail``.
 
     Every weakly decreasing chain n >= mu_1 >= ... >= mu_s >= 0 with mu_1 in
     ``first`` (and mu_1 + ... + mu_s = remaining when that is set) adds

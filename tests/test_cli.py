@@ -44,6 +44,12 @@ class TestExitCodes:
         assert status == 2
         assert "does not divide" in err
 
+    @pytest.mark.parametrize("argv", ["density s2-closed --q 6", "density limit --q 6 --s 2"])
+    def test_residue_field_size_not_a_prime_power_exit_2(self, capsys, argv):
+        # s2-closed printed a density for q = 6, which is no residue field size
+        status, out, err = run_cli(capsys, argv.split())
+        assert (status, out, err) == (2, "", "error: residue field size must be a prime power, got 6\n")
+
     def test_budget_exit_3(self, capsys):
         status, _, err = run_cli(capsys, ["oracle", "verify", "--p", "2", "--s", "2", "--n", "5"])
         assert status == 3

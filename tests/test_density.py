@@ -497,8 +497,17 @@ class TestDepthTwoClosedForm:
             series = limit_free_density(ChainRingSpec(q=q, s=2))
             assert abs(closed.value - series.value) <= closed.abs_error + series.abs_error + 1e-12
 
+    @pytest.mark.parametrize("q", [1, 6, 10, 12])
+    def test_refuses_what_no_ring_has(self, q):
+        # the same q and message as ChainRingSpec, so as limit_free_density
+        with pytest.raises(ParameterError) as ring:
+            ChainRingSpec(q=q, s=2)
+        with pytest.raises(ParameterError) as closed:
+            depth_two_density(q)
+        assert str(closed.value) == str(ring.value)
+
     def test_monotone_toward_one(self):
-        values = [depth_two_density(q).value for q in range(2, 12)]
+        values = [depth_two_density(q).value for q in (2, 3, 4, 5, 7, 8, 9, 11)]
         assert values == sorted(values)
         assert values[-1] < 1.0
 

@@ -365,6 +365,17 @@ RANK_REFUSALS = [
     (100000, 2, 2, 3, None, None),
     (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd
 ]
+# (n, q, s, ell, refusal of total_by_length, refusal of free_fraction_by_length),
+# None where admitted, one case per refusal of the length sum: its budget,
+# then each [n, mu] it reads at the first position, then a walk too deep.
+# A fraction is refused as its total is, before count_free's charge.
+LENGTH_REFUSALS = [
+    (30000, 2, 2, 100, *["exact count needs about 1.4e+11 bit operations" + _OVER] * 2),
+    (3000, 2, 3, 4500, *["exact total at n=3000, s=3 needs about 9.1e+13 bit operations" + _OVER] * 2),
+    (3, 2, 1100, 1100, *["exact total at n=3, s=1100 nests 1100 positions" + _DEEP] * 2),
+    (5000, 2, 3, 30, None, None),
+    (2000, 2, 2, 200, None, None),
+]
 
 
 class TestFreeFractions:
@@ -437,6 +448,22 @@ class TestFreeFractions:
             else:
                 with pytest.raises(BudgetExceededError) as info:
                     fn(n, ring, k)
+                assert str(info.value) == refusal
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize(
+        "n,q,s,ell,total_refusal,fraction_refusal",
+        [pytest.param(*case, id="-".join(map(str, case[:4]))) for case in LENGTH_REFUSALS],
+    )
+    def test_by_length_refusals_pinned(self, n, q, s, ell, total_refusal, fraction_refusal):
+        ring = ChainRingSpec(q=q, s=s)
+        start = time.perf_counter()
+        for fn, refusal in ((total_by_length.__wrapped__, total_refusal), (free_fraction_by_length, fraction_refusal)):
+            if refusal is None:
+                fn(n, ring, ell)
+            else:
+                with pytest.raises(BudgetExceededError) as info:
+                    fn(n, ring, ell)
                 assert str(info.value) == refusal
         assert time.perf_counter() - start < 2
 

@@ -8,7 +8,6 @@ from chainring import qseries
 from chainring.approx import TruncationPolicy
 from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError
 from chainring.qseries import (
-    _chain_sum,
     _exact_product,
     _rank_tail,
     balanced_multinomial,
@@ -22,6 +21,11 @@ from chainring.qseries import (
 from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial
 
 HALF = Fraction(1, 2)
+
+
+def rank_sum(n: int, base, s: int, k: int):
+    """The chain sum over mu_1 = k: [n, k] times the rank tail below k."""
+    return gaussian_binomial(n, k, base) * _rank_tail(n, base, s, k)
 
 
 class TestGaussianBinomial:
@@ -190,8 +194,8 @@ class TestQMultinomial:
                     assert value == naive_q_multinomial(n, ell, s, base), (n, s, ell)
             for k in range(n + 1):
                 row = sum(gaussian_binomial(k, mu, base) * base ** ((n - k) * mu) for mu in range(k + 1))
-                assert _chain_sum(n, base, 1, range(k, k + 1), None) == gaussian_binomial(n, k, base)
-                assert _chain_sum(n, base, 2, range(k, k + 1), None) == gaussian_binomial(n, k, base) * row
+                assert rank_sum(n, base, 1, k) == gaussian_binomial(n, k, base)
+                assert rank_sum(n, base, 2, k) == gaussian_binomial(n, k, base) * row
 
     @pytest.mark.parametrize(
         "base",
@@ -208,11 +212,10 @@ class TestQMultinomial:
                     assert type(value) is kind
                     assert value == naive_chain_sum(n, base, s, range(n + 1), ell), (n, s, ell)
                 for k in range(n + 1):
-                    rank = range(k, k + 1)
-                    assert _chain_sum(n, base, s, rank, None) == naive_chain_sum(n, base, s, rank, None), (n, s, k)
                     tail = _rank_tail(n, base, s, k)
                     assert type(tail) is kind
-                    assert gaussian_binomial(n, k, base) * tail == _chain_sum(n, base, s, rank, None), (n, s, k)
+                    expected = naive_chain_sum(n, base, s, range(k, k + 1), None)
+                    assert gaussian_binomial(n, k, base) * tail == expected, (n, s, k)
 
     def test_rational_walk_builds_no_fraction_per_step(self, monkeypatch):
         # a base a/c runs on homogenised integers: one Fraction for the sum,
@@ -221,7 +224,7 @@ class TestQMultinomial:
         gcd = math.gcd
         calls = []
         monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
-        sums = (lambda: q_multinomial(80, 120, 3, base), lambda: _chain_sum(60, base, 2, range(30, 31), None))
+        sums = (lambda: q_multinomial(80, 120, 3, base), lambda: rank_sum(60, base, 2, 30))
         for total in sums:
             calls.clear()
             assert type(total()) is Fraction
@@ -234,7 +237,7 @@ class TestQMultinomial:
         start = time.perf_counter()
         assert q_multinomial(10000, 1, 1, base) == gaussian_binomial(10000, 1, base)
         assert q_multinomial(4000, 3, 3, base) == naive_chain_sum(4000, base, 3, range(1, 4), 3)
-        assert _chain_sum(4000, base, 3, range(2, 3), None) == naive_chain_sum(4000, base, 3, range(2, 3), None)
+        assert rank_sum(4000, base, 3, 2) == naive_chain_sum(4000, base, 3, range(2, 3), None)
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("base", [1, -1])
@@ -257,7 +260,7 @@ class TestQMultinomial:
                     assert base == -1 or value == depths[ell], (n, s, ell)
             for k in range(n + 1):
                 row = sum(pascal[k][mu] * base ** ((n - k) * mu) for mu in range(k + 1))
-                assert _chain_sum(n, base, 2, range(k, k + 1), None) == pascal[n][k] * row
+                assert rank_sum(n, base, 2, k) == pascal[n][k] * row
 
     def test_short_chains_build_no_table(self, monkeypatch):
         built = []
@@ -266,7 +269,7 @@ class TestQMultinomial:
         for base in (2, Fraction(3, 2), 1, -1):
             for s in (1, 2):
                 q_multinomial(20, 15, s, base)
-                _chain_sum(20, base, s, range(12, 13), None)
+                rank_sum(20, base, s, 12)
         assert built == []
         assert q_multinomial(6, 7, 3, 2) == naive_q_multinomial(6, 7, 3, 2)  # deeper sums keep the table
         assert built == [6]
