@@ -146,20 +146,15 @@ def ball_profile(n: int, model: WeightModel) -> BallProfile:
     from C_0 = g_0^n.  So each coefficient is a few multiples of earlier ones
     by small integers and one exact division by k g_0, with no product of two
     big integers: n (max(w) - low) steps on numbers of up to n log2(p^s) bits.
-
-    The charge to ``qseries.TOTAL_BUDGET`` is that of the n-th power of h
-    packed in byte slots that hold (p^s)^n, a base of n log2(p^s) max(w)
-    bits, read off n and the top of the histogram (``_packed_log2``) with
-    the power never built.  It bounds the recurrence's time and memory from
-    above: Lee on Z/4 at n = 3513, the largest admitted, runs in about 0.05 s
-    and holds about 6 MB.  Over it, BudgetExceededError is raised before any
-    work.
+    Before any work, the profile is charged to ``qseries.TOTAL_BUDGET`` as
+    one product of n^2 (max(w) - low) log2(p^s) bits, a bound from above:
+    Lee on Z/4 at n = 3514, the largest admitted, takes about 0.05 s and 6 MB.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
     counts = Counter(model.int_weights)
     low, high = min(counts), max(counts)
-    _check_count_budget(_packed_log2(counts, n, model.ring), [], n)
+    _check_count_budget(n * (high - low) * math.log2(model.ring.modulus), [], n)
     g = Counter()  # (1 - z) f
     for w, c in counts.items():
         g[w - low] += c
@@ -177,45 +172,6 @@ def ball_profile(n: int, model: WeightModel) -> BallProfile:
             total += (alpha - k * beta) * cumulative[-j]
         cumulative.append(total // (k * g[0]))
     return BallProfile(n=n, scale=model.scale, cumulative=(0,) * (n * low) + tuple(cumulative[lag:]))
-
-
-def _packed_log2(counts: Counter, n: int, ring: ConcreteRing) -> float:
-    """math.log2 of sum_w counts[w] 2^(S w), S = 8 ceil(bitlen((p^s)^max(n, 1)) / 8), unbuilt.
-
-    Every count is below p^s < 2^S, so the slots do not overlap, and the
-    integer is odd, since symbol 0 alone weighs 0.  math.log2 rounds an int
-    to 53 bits, half to even, which reads its top 63 bits and whether any bit
-    below them is set: here one is.  Past 2^1024 it adds the frexp exponent
-    to log2 of the mantissa, and so does this, so the float is the same.
-    """
-    slot = 8 * -(-_power_bit_length(ring.p, ring.s * max(n, 1)) // 8)
-    high = max(counts)
-    shift = max(slot * high + counts[high].bit_length() - 63, 0)
-    top = 0
-    for w in range(high, shift // slot - 1, -1):  # the slots that reach above bit `shift`
-        at = slot * w - shift
-        top += counts[w] << at if at >= 0 else counts[w] >> -at
-    if not shift:
-        return math.log2(top)
-    mantissa, exponent = math.frexp(float(top << 1 | 1))
-    exponent += shift - 1
-    if exponent <= 1024:
-        return math.log2(math.ldexp(mantissa, exponent))
-    return math.log2(mantissa) + exponent
-
-
-def _power_bit_length(p: int, k: int) -> int:
-    """(p ** k).bit_length() for a prime p, read off k log2(p).
-
-    The power is built only when k log2(p) lies within float error of an
-    integer, which at p = 2 it is exactly and is handled apart.
-    """
-    if p == 2:
-        return k + 1
-    bits = k * math.log2(p)
-    if abs(bits - round(bits)) > bits * 2.0 ** -48:  # over 8 times the float error
-        return math.floor(bits) + 1
-    return (p ** k).bit_length()
 
 
 def ball_volume(n: int, radius, model: WeightModel, closed: bool = True) -> int:

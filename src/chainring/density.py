@@ -332,7 +332,7 @@ def andrews_gordon_product(qinv, s: int, policy: TruncationPolicy | None = None)
         * pochhammer_infinite(x ** (s + 1), step, policy)
         * pochhammer_infinite(step, step, policy)
     )
-    return top / pochhammer_infinite(x, x, policy)
+    return top * _reciprocal(pochhammer_infinite(x, x, policy), policy)
 
 
 @dataclass(frozen=True)
@@ -385,7 +385,7 @@ def depth_two_density(q: int, policy: TruncationPolicy | None = None) -> ApproxR
     root = math.sqrt(x)
     plus = pochhammer_infinite(-root, x, policy)
     minus = pochhammer_infinite(root, x, policy)
-    return ApproxReal(2.0, 0.0) / (plus + minus)
+    return ApproxReal(2.0, 0.0) * _reciprocal(plus + minus, policy)
 
 
 def rank_density_trend(ring: ChainRingSpec, rate: Fraction, n_list) -> list[Fraction]:

@@ -328,8 +328,10 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     and [n, K]_q is never built.  That quotient is in lowest terms: for
     K < n every chain in T but the all-zero one carries a power of q, so
     T = 1 mod q shares no prime with q; for K = n the numerator is 1.  It is
-    charged as the old quotient was, in the same order: the total's budget
-    checks, its walk, then count_free's.
+    charged as count_free / total_by_rank: the total's budget checks, its
+    walk, then count_free's.  Their [n, K]_q charges bound the gcd inside
+    Fraction(q^e, T), quadratic in T's bits: without them (10^7, 2, 2, 3),
+    refused at once, would take minutes.
     """
     _check_rank(n, rank)
     tail = _rank_tail(n, ring.q, ring.s, rank)

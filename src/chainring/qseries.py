@@ -287,10 +287,10 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     below K, walked from the second position: the rank tail of _rank_tail.
     Either is charged as the whole chain sum over ``first``: _check_total_budget,
     then, where ``first`` lies below n, every [n, mu], mu in ``first``,
-    smallest first (a rank tail reads no [n, K], but [n, K] T is what its
-    callers build or cancel), so that a long thin sum is refused at once, on
-    the first binomial over budget; then the table is built and the chains
-    walked.
+    smallest first, so that a long thin sum is refused at once, on the first
+    binomial over budget; then the table is built and the chains walked.  A
+    rank tail reads no [n, K], but its charge bounds the gcd that
+    free_fraction_by_rank's Fraction(q^e, T) takes, quadratic in T's bits.
 
     Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
     what remains) and summed by Horner; under a length the last two parts

@@ -260,6 +260,40 @@ def chain_dp_limit_density(q: int, s: int) -> tuple[float, float]:
     return density, error / (total * (total - error)) + u * density
 
 
+def hecke_limit_density(q: int, s: int):
+    """The limit free density at x = 1/q as a 50-digit interval, from a Hecke-type double sum.
+
+    The density is (x; x)_inf^2 / F_s(x), where F_s is the sum over i of
+    sign(i) (+1 for i >= 0) times two inner sums:
+    - x^((s+2) i^2 + i - s j^2), over j in [-i, i] for i >= 0 and
+      [i + 1, -i - 1] for i < 0;
+    - x^((s+2) (i^2 + i) - i - s (j^2 + j)), over j in [-i, i - 1] for
+      i >= 0 and [i, -i - 1] for i < 0.
+    F_s is summed exactly over |i| <= 8.  The at most 8m terms of |i| = m have
+    exponents of at least 2m^2 - m, so the rest is at most the sum over m > 8
+    of (8m + 4) x^(2m^2 - m), and for x <= 1/2 each of those is below half the
+    one before, so the rest is at most 2 * 76 x^153.  (x; x)_inf is mpmath's
+    at 50 digits, allowed 1e-45 relative error.  Returns (low, high) as
+    exact Fractions.
+    """
+    import mpmath
+
+    x = Fraction(1, q)
+    total = Fraction(0)
+    for i in range(-8, 9):
+        first = range(-i, i + 1) if i >= 0 else range(i + 1, -i)
+        second = range(-i, i) if i >= 0 else range(i, -i)
+        inner = sum(x ** ((s + 2) * i * i + i - s * j * j) for j in first)
+        inner += sum(x ** ((s + 2) * (i * i + i) - i - s * (j * j + j)) for j in second)
+        total += inner if i >= 0 else -inner
+    rest = 2 * 76 * x ** 153
+    with mpmath.workdps(50):
+        euler_sq = mpmath.qp(mpmath.mpf(x.numerator) / x.denominator) ** 2
+        low, high = (mpmath.mpf(f.numerator) / f.denominator for f in (total + rest, total - rest))
+        bounds = (euler_sq / low * (1 - mpmath.mpf("1e-45")), euler_sq / high * (1 + mpmath.mpf("1e-45")))
+    return tuple(Fraction(man) * Fraction(2) ** exp for man, exp in (b.man_exp for b in bounds))
+
+
 def leading_digits(value: int, k: int) -> str:
     """The first k decimal digits of a positive integer, from a 40-digit logarithm."""
     import mpmath
@@ -274,23 +308,6 @@ def decimal_length(value: int) -> int:
 
     with mpmath.workdps(40):
         return int(mpmath.floor(mpmath.log10(mpmath.mpf(value)))) + 1
-
-
-def packed_ball_charge(n: int, model) -> None:
-    """The ball-profile charge with its stand-in base built in full.
-
-    The symbol histogram is packed into byte slots wide enough for (p^s)^n,
-    and that integer is charged to ``qseries.TOTAL_BUDGET`` as raised to the
-    n-th power; over the budget, BudgetExceededError.
-    """
-    from collections import Counter
-
-    from chainring.qseries import _check_count_budget, _unit_bits
-
-    counts = Counter(model.int_weights)
-    slot = -(-(model.ring.modulus ** max(n, 1)).bit_length() // 8)
-    packed = b"".join(counts[w].to_bytes(slot, "little") for w in range(max(counts) + 1))
-    _check_count_budget(_unit_bits(int.from_bytes(packed, "little")), [], n)
 
 
 def loop_total_estimate(n: int, base, s: int, first: range, remaining) -> int:

@@ -94,6 +94,15 @@ class TestExitCodes:
             assert "max_index=3" in err
 
     @pytest.mark.parametrize(
+        "name,value", [("CHAINRING_MAX_INDEX", "1"), ("CHAINRING_MAX_INDEX", "2"), ("CHAINRING_TARGET_TAIL", "10")]
+    )
+    def test_uncertified_closed_form_exits_2(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        status, out, err = run_cli(capsys, ["density", "s2-closed", "--q", "2"])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: series not certified within max_index=") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "argv,named",
         [
             ("density limit --q 3 --s 30", "max_index=512"),

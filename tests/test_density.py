@@ -29,7 +29,7 @@ from chainring.modcount import ChainRingSpec, count_by_type, free_fraction_by_le
 from chainring.qseries import euler_function
 from chainring.render import render_ratio
 
-from helpers import cartan_matrix_form, chain_dp_limit_density
+from helpers import cartan_matrix_form, chain_dp_limit_density, hecke_limit_density
 
 
 class TestCartanForm:
@@ -105,6 +105,14 @@ class TestLimitDensity:
             limit_free_density(ChainRingSpec(q=2, s=4), TruncationPolicy(max_index=3))
         with pytest.raises(NonconvergentError, match="max_index=3"):
             density_bounds(ChainRingSpec(q=2, s=4), TruncationPolicy(max_index=3))
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(max_index=1), TruncationPolicy(target_tail=10.0)], ids=str)
+    def test_uncertified_product_raises_nonconvergent(self, policy):
+        # the products' error bounds reach their values, so no reciprocal is certified
+        with pytest.raises(NonconvergentError, match=f"max_index={policy.max_index}"):
+            depth_two_density(2, policy)
+        with pytest.raises(NonconvergentError, match=f"max_index={policy.max_index}"):
+            andrews_gordon_product(0.5, 2, policy)
 
     def test_infinite_tail_raises_before_the_walk(self, monkeypatch):
         # at x = 1/2, s = 6 no cap <= 3 brings the tail ratio below 1
@@ -392,6 +400,14 @@ class TestLargeDepth:
         result = limit_free_density(ChainRingSpec(q=q, s=s))
         oracle, _ = chain_dp_limit_density(q, s)
         assert abs(result.value - oracle) <= result.abs_error
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 101])
+    def test_interval_contains_hecke_double_sum(self, q):
+        for s in range(2, 13):
+            result = limit_free_density(ChainRingSpec(q=q, s=s))
+            low, high = hecke_limit_density(q, s)
+            assert abs(high - Fraction(result.value)) <= result.abs_error, s
+            assert abs(low - Fraction(result.value)) <= result.abs_error, s
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_ordered_out_to_depth_ten(self, q):

@@ -360,6 +360,8 @@ RANK_REFUSALS = [
     (10**7, 2, 1, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
     (10**7, 2, 2, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
     (690000, 2, 2, 3, None, "exact count needs about 1.4e+11 bit operations" + _OVER),
+    # with the budget lifted, the gcd inside Fraction(q^e, T) alone takes 12.7 s here
+    (1360000, 2, 2, 3, *["exact count needs about 5.2e+11 bit operations" + _OVER] * 2),
     (40000, 2, 1000, 1, *["exact total at n=40000, s=1000 nests 1000 positions" + _DEEP] * 2),
     (100000, 2, 1, 3, None, None),
     (100000, 2, 2, 3, None, None),

@@ -8,11 +8,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _declared() -> set[str]:
-    """Distribution names in the runtime dependencies and the ``test`` extra."""
+def _declared(*extras: str) -> set[str]:
+    """Distribution names in the runtime dependencies and the given extras."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    requirements = list(project["dependencies"])
+    for extra in extras:
+        requirements += project["optional-dependencies"][extra]
     return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in requirements}
 
 
@@ -37,8 +39,17 @@ def _third_party_imports(folder: Path) -> dict[str, str]:
 
 def test_every_test_import_is_declared():
     # a fresh `pip install -e '.[test]'` must collect every test module
-    declared = _declared()
+    declared = _declared("test")
     imports = _third_party_imports(ROOT / "tests")
     assert {"numpy", "pytest", "mpmath", "hypothesis"} <= imports.keys()
+    missing = {name: path for name, path in imports.items() if name.lower() not in declared}
+    assert missing == {}
+
+
+def test_every_source_import_is_a_runtime_dependency():
+    # test-only packages such as mpmath must not reach the library through the `test` extra
+    declared = _declared()
+    imports = _third_party_imports(ROOT / "src" / "chainring")
+    assert "numpy" in imports
     missing = {name: path for name, path in imports.items() if name.lower() not in declared}
     assert missing == {}
