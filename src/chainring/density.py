@@ -275,11 +275,11 @@ def _inverse(q: int) -> float:
         ) from None
 
 
-def _reciprocal(series: ApproxReal, policy: TruncationPolicy) -> ApproxReal:
-    """1/series, or NonconvergentError when no cap within the policy certifies it."""
+def _reciprocal(series: ApproxReal, policy: TruncationPolicy, name: str = "series") -> ApproxReal:
+    """1/series, or NonconvergentError naming it when no cap within the policy certifies it."""
     if series.abs_error >= series.value:
         raise NonconvergentError(
-            f"series not certified within max_index={policy.max_index}: "
+            f"{name} not certified within max_index={policy.max_index}: "
             f"error bound {series.abs_error:.3g} reaches the value {series.value:.3g}"
         )
     return series.reciprocal()
@@ -332,7 +332,7 @@ def andrews_gordon_product(qinv, s: int, policy: TruncationPolicy | None = None)
         * pochhammer_infinite(x ** (s + 1), step, policy)
         * pochhammer_infinite(step, step, policy)
     )
-    return top * _reciprocal(pochhammer_infinite(x, x, policy), policy)
+    return top * _reciprocal(pochhammer_infinite(x, x, policy), policy, "product (x; x)_inf")
 
 
 @dataclass(frozen=True)
@@ -385,7 +385,7 @@ def depth_two_density(q: int, policy: TruncationPolicy | None = None) -> ApproxR
     root = math.sqrt(x)
     plus = pochhammer_infinite(-root, x, policy)
     minus = pochhammer_infinite(root, x, policy)
-    return ApproxReal(2.0, 0.0) * _reciprocal(plus + minus, policy)
+    return ApproxReal(2.0, 0.0) * _reciprocal(plus + minus, policy, "products (-sqrt(x); x)_inf + (sqrt(x); x)_inf")
 
 
 def rank_density_trend(ring: ChainRingSpec, rate: Fraction, n_list) -> list[Fraction]:

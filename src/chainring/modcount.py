@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _check_count_budget, _exact_product, _rank_tail, _unit_bits, gaussian_binomial, q_multinomial
+from .qseries import _charge_chain_sum, _check_count_budget, _exact_product, _rank_tail, _unit_bits
+from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
 Shape = tuple[int, ...]
@@ -328,16 +329,16 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     and [n, K]_q is never built.  That quotient is in lowest terms: for
     K < n every chain in T but the all-zero one carries a power of q, so
     T = 1 mod q shares no prime with q; for K = n the numerator is 1.  It is
-    charged as count_free / total_by_rank: the total's budget checks, its
-    walk, then count_free's.  Their [n, K]_q charges bound the gcd inside
-    Fraction(q^e, T), quadratic in T's bits: without them (10^7, 2, 2, 3),
-    refused at once, would take minutes.
+    charged as count_free / total_by_rank, but before T is walked: the
+    total's budget checks, then count_free's.  Their [n, K]_q charges bound
+    the gcd inside Fraction(q^e, T), quadratic in T's bits: without them
+    (10^7, 2, 2, 3), refused at once, would take minutes.
     """
     _check_rank(n, rank)
-    tail = _rank_tail(n, ring.q, ring.s, rank)
     exponent = (n - rank) * rank * (ring.s - 1)
-    _check_count_budget(_unit_bits(ring.q), [(n, rank)], exponent)  # count_free's charge
-    return Fraction(ring.q**exponent, tail)
+    _charge_chain_sum(n, ring.q, ring.s, range(rank, rank + 1), None)  # the tail's charges,
+    _check_count_budget(_unit_bits(ring.q), [(n, rank)], exponent)  # then count_free's, before the walk
+    return Fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
 
 
 def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> int:

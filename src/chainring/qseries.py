@@ -145,9 +145,15 @@ def _check_count_budget(unit: float, binomials, exponent: int, factors: int = 0)
             factors += 1
     cost += (factors - 1 + (exponent > 0)) * bits * (bits / 64 + 1) ** 0.585
     if cost > TOTAL_BUDGET:
-        raise BudgetExceededError(
-            f"exact count needs about {cost:.2g} bit operations, over the budget of {TOTAL_BUDGET:.2g}"
-        )
+        raise BudgetExceededError(f"exact count needs {_over_budget(cost)}")
+
+
+def _over_budget(cost) -> str:
+    """The cost and TOTAL_BUDGET at the fewest significant digits, two or more, that tell them apart."""
+    digits = 2
+    while digits < 17 and f"{cost:.{digits}g}" == f"{TOTAL_BUDGET:.{digits}g}":
+        digits += 1
+    return f"about {cost:.{digits}g} bit operations, over the budget of {TOTAL_BUDGET:.{digits}g}"
 
 
 def _exact_product(base, binomials, exponent: int, spans=()):
@@ -257,10 +263,16 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
     exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
     bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
     if terms * bits > TOTAL_BUDGET:
-        raise BudgetExceededError(
-            f"exact total at n={n}, s={s} needs about {terms * bits:.2g} bit operations, "
-            f"over the budget of {TOTAL_BUDGET:.2g}"
-        )
+        raise BudgetExceededError(f"exact total at n={n}, s={s} needs {_over_budget(terms * bits)}")
+
+
+def _charge_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
+    """Charge _chain_sum's arguments to the budget, as _chain_sum does before its walk."""
+    _check_total_budget(n, base, s, first, remaining)
+    if first[-1] < n:
+        unit = _unit_bits(base)
+        for mu in first:
+            _check_count_budget(unit, [(n, mu)], 0)
 
 
 def _rank_tail(n: int, base, s: int, rank: int):
@@ -285,131 +297,121 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     remaining, walked from the first position below n (q_multinomial).  With
     ``remaining`` None, ``first`` is one rank K, and the sum is over the parts
     below K, walked from the second position: the rank tail of _rank_tail.
-    Either is charged as the whole chain sum over ``first``: _check_total_budget,
-    then, where ``first`` lies below n, every [n, mu], mu in ``first``,
-    smallest first, so that a long thin sum is refused at once, on the first
-    binomial over budget; then the table is built and the chains walked.  A
-    rank tail reads no [n, K], but its charge bounds the gcd that
-    free_fraction_by_rank's Fraction(q^e, T) takes, quadratic in T's bits.
+    Either is charged first (_charge_chain_sum) as the whole chain sum over
+    ``first``: _check_total_budget, then each [n, mu], mu in ``first`` below
+    n, smallest first, so that a long thin sum is refused on the first
+    binomial over budget.  A rank tail reads no [n, K], but its charge
+    bounds the gcd in free_fraction_by_rank's Fraction(q^e, T).
 
-    Every depth is one walk, its suffix sums memoised on (position, mu_{i-1},
-    what remains) and summed by Horner; under a length the last two parts
-    are one _diagonal, so s = 2 is that diagonal below n.  At s >= 3 the
-    middle positions read row segments of every row up to max(first), again
-    and again, so those rows are built once as a q-Pascal table.  At s <= 2
-    the walk reads one row (rank) or one diagonal (length), which would not
-    repay a quadratic table: row K of a rank tail is walked by _binomial_row,
-    and every other entry comes from gaussian_binomial.
+    The walk takes one whole position at a time, from position s up to the
+    first one walked, and keeps only the position below.  For each part prev
+    before a position it holds one suffix sum per remainder rem the parts
+    before can leave (a contiguous range; a rank tail has one), summed by
+    Horner in x = a^(n - prev) over the parts mu, each times the sum of
+    (mu, rem - mu) below.  Under a length the last two parts (mu, j = rem - mu)
+    are one diagonal, T(mu) = [prev, mu] [mu, j] times b^((n - prev) mu + (n - mu) j),
+    whose exponent falls by prev + rem + 1 - 2 mu from mu - 1 to mu and ends
+    at (n - prev) rem: the powers fold in by Horner, and the sum ends in
+    x^rem.  So s = 2 is one diagonal below n.  At s >= 3 every position reads
+    row segments of every row up to max(first), again and again, so those
+    rows are built once as a q-Pascal table and read directly.  At s <= 2
+    the walk reads one row or one diagonal, which would not repay a
+    quadratic table: row K of a rank tail is walked by _binomial_row, and the
+    diagonal steps from T(lo) by the ratio of q-trinomials
+    T(mu) / T(mu - 1) = (b^(j+1) - 1)(b^(prev-mu+1) - 1) / ((b^(mu-j-1) - 1)(b^(mu-j) - 1))
+    (a base 1 or -1, where it would divide by zero, reads each T(mu)).
 
     The walk runs on integers at every base.  At b = a/c in lowest terms it
     reads homogenised binomials [m, k]_h = c^(k (m-k)) [m, k], and a chain's
-    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i)).
-    Every part is at most max(first), so each mu (n - mu) is at most
-    P = m (n - m), m = min(max(first), floor(n / 2)), and suffix(pos, ...) holds
-    c^((s - pos + 1) P) times its sum: Horner runs in x = a^(n - mu_{i-1}),
-    each term is padded by c^(P - mu (n - mu)), and the sum is one
-    Fraction(total, c^((s - pos + 1) P)) at the first position walked.  At
-    c = 1 no pad is multiplied in and the sum is an int.
+    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i));
+    the ratio keeps its form with each b^i - 1 read as a^i - c^i.  Every
+    part is at most max(first), so each mu (n - mu) is at most P = m (n - m),
+    m = min(max(first), floor(n / 2)), and a sum from position pos holds
+    c^((s - pos + 1) P) times its value: a term is padded by c^(P - mu (n - mu)),
+    a diagonal's by c^(2 P - mu (n - mu) - j (n - j)), and the sum is one
+    Fraction(total, c^((s - pos + 1) P)).  At c = 1 the sum is an int.
 
     The walk nests one call per position, so a depth s past Python's
     recursion limit raises BudgetExceededError.
     """
-    _check_total_budget(n, base, s, first, remaining)
-    if first[-1] < n:
-        unit = _unit_bits(base)
-        for mu in first:
-            _check_count_budget(unit, [(n, mu)], 0)
+    _charge_chain_sum(n, base, s, first, remaining)
     a, c = base.as_integer_ratio()
-    # every part is at most first[-1], so this is P, the peak of mu (n - mu)
-    top = (peak := min(first[-1], n // 2)) * (n - peak)
-    pascal = _q_pascal(first[-1], base) if s >= 3 else []
-    # with a table, or at a base 1 or -1, where ratio steps would divide by
-    # b^i - 1 = 0, every binomial the walk needs is read, none is stepped to
-    lookup = s >= 3 or a in (c, -c)
-    memo: dict[tuple, int] = {}
+    rows = first[-1]
+    # every part is at most rows, so this is P, the peak of mu (n - mu)
+    top = (peak := min(rows, n // 2)) * (n - peak)
+    pascal = _q_pascal(rows, base) if s >= 3 else []
+    lookup = a in (c, -c)  # at a base 1 or -1 a ratio step would divide by b^i - 1 = 0
+    start = 1 if remaining is not None else 2  # a length sum walks from below n, a rank tail from below K
 
-    def binomial(m: int, k: int) -> int:  # [m, k]_h, from the table when it has row m
-        if m < len(pascal):
-            return pascal[m][k]
+    def binomial(m: int, k: int) -> int:  # [m, k]_h of a row the table lacks
         value = gaussian_binomial(m, k, base)
         return value if c == 1 else value.numerator * (c ** (k * (m - k)) // value.denominator)
 
-    def suffix(pos: int, prev: int, remaining: int | None) -> int:
-        key = (pos, prev, remaining)
-        if key in memo:
-            return memo[key]
-        if remaining is None:
-            lo, hi = 0, prev
-        else:
-            # weak decrease bounds the part by prev, and the s - pos parts still to
-            # come, each at most the part chosen now, must absorb what remains
-            lo = -(-remaining // (s - pos + 1))
-            hi = min(prev, remaining)
-        if remaining is not None and pos == s - 1:
-            return memo.setdefault(key, _diagonal(n, a, c, 2 * top, prev, remaining, lo, hi, binomial, lookup))
-        parts = range(hi, lo - 1, -1)
-        if prev < len(pascal):
-            binomials = reversed(pascal[prev][lo : hi + 1])
-        elif pos > 1 and not lookup:
-            # a rank tail's one row at s = 2, walked from [prev, 0] = [prev, prev]
-            binomials = _binomial_row(prev, a, c)
-        else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
-            binomials = (binomial(prev, mu) for mu in parts)
-        x = a ** (n - prev)
-        total = 0
-        for mu, term in zip(parts, binomials):  # Horner in x
-            if pos < s:  # past the last part the suffix is 1: lo and hi leave nothing over
-                term *= suffix(pos + 1, mu, None if remaining is None else remaining - mu)
-            total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
-        if total and lo:
-            total *= x ** lo
-        memo[key] = total
-        return total
+    def level(pos: int) -> tuple[list, list]:
+        # sums[i]: suffix sums below the i-th prev (prev = i past the start), from rem = starts[i] - prev on
+        diagonal = remaining is not None and pos == s - 1  # the last two parts as one
+        below, offsets = level(pos + 1) if pos < s and not diagonal else (None, None)
+        apow = list(map(a.__pow__, range(rows + 2))) if diagonal and pascal else None
+        sums, starts = [], []
+        for prev in (n if pos == 1 else rows,) if pos == start else range(rows + 1):
+            rlo = rhi = 0  # a rank tail's one sum, at starts[i] = 0
+            if remaining is not None:  # the parts before pos sum to remaining - rem, each in [prev, n]
+                rlo = max(0, remaining - prev - (pos - 2) * n)
+                rhi = min(remaining - (pos - 1) * prev, (s - pos + 1) * prev)
+            sums.append(values := [])
+            starts.append(0 if remaining is None else prev + rlo)
+            x = a ** (n - prev) if rlo <= rhi else 1
+            power = x**rlo if diagonal else 1  # x^rem, the diagonal's last factor
+            for rem in range(rlo, rhi + 1):
+                # weak decrease bounds the part by prev, and the s - pos parts still to
+                # come, each at most the part chosen now, must absorb what remains
+                lo, hi = (0, prev) if remaining is None else (-(-rem // (s - pos + 1)), min(prev, rem))
+                total = term = 0
+                if diagonal and pascal:  # T(mu) = [prev, mu] [mu, rem - mu], read from the table
+                    row = pascal[prev]
+                    for mu in range(lo, hi + 1):  # Horner: a^(prev + rem + 1 - 2 mu) before T(mu)
+                        term = row[mu] * pascal[mu][rem - mu]
+                        if c != 1:
+                            term *= c ** (2 * top - mu * (n - mu) - (rem - mu) * (n - rem + mu))
+                        total = total * apow[prev + rem + 1 - 2 * mu] + term
+                elif diagonal:  # s = 2: T(lo) read, then the ratio T(mu) / T(mu - 1), j = rem - mu
+                    for mu in range(lo, hi + 1):
+                        j = rem - mu
+                        if mu == lo or lookup:
+                            term = binomial(prev, mu) * binomial(mu, j)
+                        else:
+                            term *= (a ** (j + 1) - c ** (j + 1)) * (a ** (prev - mu + 1) - c ** (prev - mu + 1))
+                            term //= (a ** (mu - j - 1) - c ** (mu - j - 1)) * (a ** (mu - j) - c ** (mu - j))
+                        padded = term if c == 1 else term * c ** (2 * top - mu * (n - mu) - j * (n - j))
+                        total = total * a ** (prev + rem + 1 - 2 * mu) + padded
+                if diagonal:
+                    values.append(total * power)
+                    power *= x
+                    continue
+                parts = range(hi, lo - 1, -1)
+                if prev < len(pascal):
+                    binomials = reversed(pascal[prev][lo : hi + 1])
+                elif pos > 1 and not lookup:
+                    # a rank tail's one row at s = 2, walked from [prev, 0] = [prev, prev]
+                    binomials = _binomial_row(prev, a, c)
+                else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
+                    binomials = (binomial(prev, mu) for mu in parts)
+                for mu, term in zip(parts, binomials):  # Horner in x
+                    if below is not None:  # past the last part the suffix is 1
+                        term *= below[mu][rem - offsets[mu]]
+                    total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
+                values.append(total * x**lo if total and lo else total)
+        return sums, starts
 
-    # a length sum starts at the first position below n, a rank tail at the second below K
-    start, prev = (1, n) if remaining is not None else (2, first[0])
     try:
-        total = suffix(start, prev, remaining) if start <= s else 1
-    except RecursionError:  # suffix nests one call per position
+        total = level(start)[0][0][0] if start <= s else 1
+    except RecursionError:  # level nests one call per position
         raise BudgetExceededError(
             f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
         ) from None
+    finally:
+        del level  # level's cell refers to level: without this the table would live until a collection
     return total if c == 1 else Fraction(total, c ** ((s - start + 1) * top))
-
-
-def _diagonal(n: int, a: int, c: int, pad: int, prev: int, ell: int, lo: int, hi: int, binomial, lookup):
-    """The last two parts (mu, ell - mu) of a length sum below prev, lo <= mu <= hi.
-
-    The pair weighs T(mu) b^((n - prev) mu + (n - mu)(ell - mu)), where
-    T(mu) = [prev, mu] [mu, ell - mu] is the q-trinomial
-    (q)_prev / ((q)_j (q)_(mu-j) (q)_(prev-mu)), j = ell - mu,
-    (q)_m = prod_{i<=m} (b^i - 1).  So
-    T(mu + 1) = T(mu) (b^j - 1)(b^(prev-mu) - 1) / ((b^(mu-j+1) - 1)(b^(mu-j+2) - 1)).
-    At b = a/c the homogenised T_h(mu) = c^(mu (prev-mu) + j (mu-j)) T(mu)
-    is an integer, and the same ratio holds with each b^i - 1 read as
-    a^i - c^i, with no further power of c.  The pair's denominator is
-    c^(mu (n-mu) + j (n-j)), so each term carries the pad
-    c^(pad - mu (n-mu) - j (n-j)), where ``pad`` is 2P and P bounds every
-    part's mu (n - mu) (see _chain_sum), and the sum is c^pad times the pair
-    sum; at c = 1 there is no pad.  The powers of a fold in by Horner: a^(prev+ell-2mu-1) between T(mu) and T(mu + 1), and
-    a^((n - prev) hi + (n - hi)(ell - hi)) once at the end.  With ``lookup``
-    (a q-Pascal table at s >= 3, or a base 1 or -1, where the ratio would
-    divide by zero) each T_h(mu) is two reads of ``binomial``; otherwise
-    T_h(lo) is read and the rest follow by the ratio.
-    """
-    term = binomial(prev, lo) * binomial(lo, ell - lo)
-    total = term if c == 1 else term * c ** (pad - lo * (n - lo) - (ell - lo) * (n - ell + lo))
-    for mu in range(lo, hi):  # T(mu) -> T(mu + 1)
-        j = ell - mu
-        if lookup:
-            term = binomial(prev, mu + 1) * binomial(mu + 1, j - 1)
-        else:
-            num = (a ** j - c ** j) * (a ** (prev - mu) - c ** (prev - mu))
-            den = (a ** (mu - j + 1) - c ** (mu - j + 1)) * (a ** (mu - j + 2) - c ** (mu - j + 2))
-            term = term * num // den
-        padded = term if c == 1 else term * c ** (pad - (mu + 1) * (n - mu - 1) - (j - 1) * (n - j + 1))
-        total = total * a ** (prev + ell - 2 * mu - 1) + padded
-    return total * a ** ((n - prev) * hi + (n - hi) * (ell - hi))
 
 
 def _binomial_row(m: int, a: int, c: int):

@@ -13,7 +13,7 @@ from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import TOTAL_BUDGET
+from .qseries import TOTAL_BUDGET, _over_budget
 
 SCI_BELOW = Fraction(1, 10_000)
 SCI_DIGITS = 3  # significant digits of values below SCI_BELOW
@@ -116,10 +116,7 @@ def _check_digits_budget(x: Fraction, digits: int):
     bits = digits * _LOG2_10 + max(0, num_bits - den_bits) + 1
     cost = _RENDER_PRODUCTS * bits * (bits / 64 + 1) ** 0.585 + bits * (den_bits / 64 + 1)
     if cost > TOTAL_BUDGET:
-        raise BudgetExceededError(
-            f"rendering {digits} digits needs about {cost:.2g} bit operations, "
-            f"over the budget of {TOTAL_BUDGET:.2g}"
-        )
+        raise BudgetExceededError(f"rendering {digits} digits needs {_over_budget(cost)}")
 
 
 def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> str:

@@ -114,6 +114,16 @@ class TestLimitDensity:
         with pytest.raises(NonconvergentError, match=f"max_index={policy.max_index}"):
             andrews_gordon_product(0.5, 2, policy)
 
+    def test_uncertified_product_is_named(self):
+        # what failed to certify is a product, not a series
+        with pytest.raises(NonconvergentError) as info:
+            andrews_gordon_product(0.5, 2, TruncationPolicy(max_index=1))
+        assert str(info.value) == (
+            "product (x; x)_inf not certified within max_index=1: error bound 0.859 reaches the value 0.5"
+        )
+        with pytest.raises(NonconvergentError, match=r"^products \(-sqrt\(x\); x\)_inf \+ \(sqrt\(x\); x\)_inf not "):
+            depth_two_density(2, TruncationPolicy(max_index=1))
+
     def test_infinite_tail_raises_before_the_walk(self, monkeypatch):
         # at x = 1/2, s = 6 no cap <= 3 brings the tail ratio below 1
         def forbidden(*args, **kwargs):

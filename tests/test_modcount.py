@@ -346,12 +346,15 @@ class TestCountBudget:
 
 
 _OVER = ", over the budget of 1.4e+11"
+_OVER3 = ", over the budget of 1.37e+11"  # a cost that rounds to the budget at two digits gets three
 _DEEP = ", deeper than Python's recursion limit"
 # (n, q, s, K, refusal of total_by_rank, refusal of free_fraction_by_rank),
-# None where admitted: what count_free / total_by_rank gave when it built
-# [n, K].  It was charged the chain sum's budget, then [n, K], then walked
-# (a walk too deep refuses (40000, s=1000) before count_free's charge
-# would), then count_free's charge; (690000, s=2, K=3) passes all but the last.
+# None where admitted.  total_by_rank is charged the chain sum's budget,
+# then [n, K], then walked; free_fraction_by_rank is charged as
+# count_free / total_by_rank was when it built [n, K], but with count_free's
+# charge before the walk: (690000, s=2, K=3) and (40000, s=1000, K=1)
+# pass all but that charge, and the walk too deep at s = 1000 now refuses
+# only the total (see also test_by_rank_charges_the_count_before_the_walk).
 RANK_REFUSALS = [
     (4000, 2, 3, 2000, *["exact total at n=4000, s=3 needs about 4.8e+13 bit operations" + _OVER] * 2),
     (5000, 2, 2, 2500, *["exact total at n=5000, s=2 needs about 3.9e+13 bit operations" + _OVER] * 2),
@@ -359,10 +362,18 @@ RANK_REFUSALS = [
     (300000, 2, 2, 10, *["exact count needs about 2.8e+11 bit operations" + _OVER] * 2),
     (10**7, 2, 1, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
     (10**7, 2, 2, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
-    (690000, 2, 2, 3, None, "exact count needs about 1.4e+11 bit operations" + _OVER),
+    (690000, 2, 2, 3, None, "exact count needs about 1.39e+11 bit operations" + _OVER3),
+    (700000, 2, 2, 3, *["exact count needs about 1.38e+11 bit operations" + _OVER3] * 2),
     # with the budget lifted, the gcd inside Fraction(q^e, T) alone takes 12.7 s here
     (1360000, 2, 2, 3, *["exact count needs about 5.2e+11 bit operations" + _OVER] * 2),
-    (40000, 2, 1000, 1, *["exact total at n=40000, s=1000 nests 1000 positions" + _DEEP] * 2),
+    (
+        40000,
+        2,
+        1000,
+        1,
+        "exact total at n=40000, s=1000 nests 1000 positions" + _DEEP,
+        "exact count needs about 2e+11 bit operations" + _OVER,
+    ),
     (100000, 2, 1, 3, None, None),
     (100000, 2, 2, 3, None, None),
     (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd
@@ -372,7 +383,8 @@ RANK_REFUSALS = [
 # then each [n, mu] it reads at the first position, then a walk too deep.
 # A fraction is refused as its total is, before count_free's charge.
 LENGTH_REFUSALS = [
-    (30000, 2, 2, 100, *["exact count needs about 1.4e+11 bit operations" + _OVER] * 2),
+    (29000, 2, 2, 100, *["exact count needs about 1.4e+11 bit operations" + _OVER3] * 2),
+    (30000, 2, 2, 100, *["exact count needs about 1.38e+11 bit operations" + _OVER3] * 2),
     (3000, 2, 3, 4500, *["exact total at n=3000, s=3 needs about 9.1e+13 bit operations" + _OVER] * 2),
     (3, 2, 1100, 1100, *["exact total at n=3, s=1100 nests 1100 positions" + _DEEP] * 2),
     (5000, 2, 3, 30, None, None),
@@ -452,6 +464,20 @@ class TestFreeFractions:
                     fn(n, ring, k)
                 assert str(info.value) == refusal
         assert time.perf_counter() - start < 2
+
+    def test_by_rank_charges_the_count_before_the_walk(self, monkeypatch):
+        # total_by_rank admits this input and walks T for about 2 s; the fraction's
+        # count_free charge refuses it before T is walked.  Not in RANK_REFUSALS,
+        # whose 2 s limit covers both functions.
+        def forbidden(*args):
+            raise AssertionError("walked T before count_free's charge")
+
+        monkeypatch.setattr(modcount, "_rank_tail", forbidden)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            free_fraction_by_rank(2000000, ChainRingSpec(q=2, s=20), 1)
+        assert str(info.value) == "exact count needs about 3.2e+11 bit operations" + _OVER
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize(
         "n,q,s,ell,total_refusal,fraction_refusal",

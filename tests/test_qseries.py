@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainring import qseries
 from chainring.approx import TruncationPolicy
@@ -205,7 +207,7 @@ class TestQMultinomial:
         # deep length sums end in a diagonal below prev < n; the reference
         # weighs each chain on its own
         kind = int if isinstance(base, int) else Fraction
-        for s, top in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 5)):
+        for s, top in ((1, 8), (2, 8), (3, 8), (4, 6), (5, 5), (6, 5)):
             for n in range(top + 1):
                 for ell in range(n * s + 1):
                     value = q_multinomial(n, ell, s, base)
@@ -216,6 +218,21 @@ class TestQMultinomial:
                     assert type(tail) is kind
                     expected = naive_chain_sum(n, base, s, range(k, k + 1), None)
                     assert gaussian_binomial(n, k, base) * tail == expected, (n, s, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        s=st.integers(1, 6),
+        base=st.fractions(min_value=-3, max_value=6, max_denominator=4),
+        share=st.fractions(min_value=0, max_value=1),
+    )
+    def test_length_duality(self, n, s, base, share):
+        # a submodule of length ell and its annihilator of length n s - ell pair
+        # off, so the sum is symmetric in ell as a polynomial in the base: a check
+        # that needs no reference, over every remainder range the walk keeps
+        ell = int(share * n * s)
+        base = int(base) if base.denominator == 1 else base
+        assert q_multinomial(n, ell, s, base) == q_multinomial(n, n * s - ell, s, base)
 
     def test_rational_walk_builds_no_fraction_per_step(self, monkeypatch):
         # a base a/c runs on homogenised integers: one Fraction for the sum,
