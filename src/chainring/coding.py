@@ -14,6 +14,7 @@ the grid with no floating point involved.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,7 @@ import numpy as np
 from .approx import ApproxReal
 from .errors import BudgetExceededError, ParameterError
 from .modcount import unimodular_probability
-from .qseries import _check_count_budget
+from .qseries import _charge, _product_cost
 from .simulate import SPAN_BUDGET, ConcreteRing, RingMatrix, _all_vectors, _check_power_budget, _types, sample_matrix
 
 HAMMING = "hamming"
@@ -154,7 +155,7 @@ def ball_profile(n: int, model: WeightModel) -> BallProfile:
         raise ParameterError("n must be nonnegative")
     counts = Counter(model.int_weights)
     low, high = min(counts), max(counts)
-    _check_count_budget(n * (high - low) * math.log2(model.ring.modulus), [], n)
+    _charge("exact count", lambda: _product_cost(n * (n * (high - low) * math.log2(model.ring.modulus))))
     g = Counter()  # (1 - z) f
     for w, c in counts.items():
         g[w - low] += c
@@ -446,7 +447,8 @@ def gv_random_experiment(
         if jobs > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
+            # a pool starts a thread per task while none is idle, so it is capped at the chunk and the cores
+            with ThreadPoolExecutor(max_workers=min(jobs, len(mats), os.cpu_count() or 1)) as pool:
                 dists = list(pool.map(distance, mats))
         else:
             dists = [distance(m) for m in mats]

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
-from .errors import BudgetExceededError, NonconvergentError, ParameterError
+from .errors import BudgetExceededError, NonconvergentError, ParameterError, _exponent_text
 from .modcount import (
     ChainRingSpec,
     _check_length,
@@ -361,10 +361,11 @@ def density_bounds(ring: ChainRingSpec, policy: TruncationPolicy | None = None) 
         raise ParameterError("density bounds need s >= 2")
     x = _inverse(ring.q)
     exponent = ring.s * ring.s - ring.s
-    upper_base = float(ring.q) ** -exponent
+    # q >= 2, so past 1074 q^-exponent is at most half the least subnormal, 2^-1074
+    upper_base = float(ring.q) ** -exponent if exponent <= 1074 else 0.0
     if upper_base == 0.0:
         raise ParameterError(
-            f"the upper bound's base q^-(s^2-s) = {ring.q}^-{exponent} underflows to 0.0 "
+            f"the upper bound's base q^-(s^2-s) = {ring.q}^-{_exponent_text(exponent)} underflows to 0.0 "
             f"at q = {ring.q}, s = {ring.s}"
         )
     policy = policy or default_policy()

@@ -8,7 +8,9 @@ k_i cyclic summands of length s - i + 1; the conjugate partition
 sum(k_i (s - i + 1)) = log_q of the module size.
 
 All counts are exact integers and all finite probabilities exact fractions;
-nothing here rounds.
+nothing here rounds.  Every count and total is charged to
+``qseries.TOTAL_BUDGET`` before any big-integer work, and over it raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _charge_chain_sum, _check_count_budget, _exact_product, _rank_tail, _unit_bits
+from .qseries import _charge, _charge_chain_sum, _count_cost, _exact_product, _rank_tail
 from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
@@ -186,8 +188,7 @@ def count_by_shape(n: int, ring: ChainRingSpec, shape: Shape) -> int:
     """Number of submodules of R^n with the given shape.
 
     prod_{i=1}^{s} q^((n - mu_i) mu_{i+1}) * [n - mu_{i+1}, mu_i - mu_{i+1}]_q
-    with mu_{s+1} = 0.  Raises BudgetExceededError when the product would
-    exceed ``qseries.TOTAL_BUDGET``.
+    with mu_{s+1} = 0.
     """
     _check_nonnegative(n=n)
     type_from_shape(shape)  # validates monotonicity
@@ -207,8 +208,6 @@ def count_by_type(n: int, ring: ChainRingSpec, mtype: Type) -> int:
 
     q^(sum_i (n - K_i) K_{i-1}) * prod_i [n - K_{i-1}, k_i]_q where
     K_i = k_1 + ... + k_i.  Agrees with ``count_by_shape`` on the conjugate.
-    Raises BudgetExceededError when the product would exceed
-    ``qseries.TOTAL_BUDGET``.
     """
     _check_nonnegative(n=n)
     _check_type(mtype, ring.s)
@@ -230,11 +229,7 @@ def _type_factors(n: int, mtype: Type) -> tuple[list[tuple[int, int]], int]:
 
 
 def count_free(n: int, ring: ChainRingSpec, rank: int) -> int:
-    """Number of free submodules of R^n of the given rank: q^((n-K)K(s-1)) [n,K]_q.
-
-    Raises BudgetExceededError when the product would exceed
-    ``qseries.TOTAL_BUDGET``.
-    """
+    """Number of free submodules of R^n of the given rank: q^((n-K)K(s-1)) [n,K]_q."""
     _check_rank(n, rank)
     return _exact_product(ring.q, [(n, rank)], (n - rank) * rank * (ring.s - 1))
 
@@ -292,8 +287,7 @@ def compositions(s: int, total: int) -> Iterator[Type]:
 def total_by_length(n: int, ring: ChainRingSpec, ell: int) -> int:
     """Number of submodules of R^n of length ell (all types combined).
 
-    This is the depth-s q-multinomial at base q.  Raises BudgetExceededError
-    when its chain sum would exceed ``qseries.TOTAL_BUDGET``.
+    This is the depth-s q-multinomial at base q.
     """
     _check_length(n, ring, ell)
     return q_multinomial(n, ell, ring.s, ring.q)
@@ -304,8 +298,7 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     """Number of submodules of R^n of the given rank (all types combined).
 
     Rank is mu_1, so the total is [n, rank]_q times the chain sum T below
-    it (``qseries._rank_tail``).  Raises BudgetExceededError when the chain
-    sum would exceed ``qseries.TOTAL_BUDGET``.
+    it (``qseries._rank_tail``).
     """
     _check_rank(n, rank)
     tail = _rank_tail(n, ring.q, ring.s, rank)  # first, so that its budget checks come first
@@ -337,7 +330,7 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     _check_rank(n, rank)
     exponent = (n - rank) * rank * (ring.s - 1)
     _charge_chain_sum(n, ring.q, ring.s, range(rank, rank + 1), None)  # the tail's charges,
-    _check_count_budget(_unit_bits(ring.q), [(n, rank)], exponent)  # then count_free's, before the walk
+    _charge("exact count", _count_cost, ring.q, [(n, rank)], exponent)  # then count_free's, before the walk
     return Fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
 
 
@@ -353,9 +346,7 @@ def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> in
     suite checks this reading against exhaustive enumeration
     (``simulate.validate_matrix_count_interpretation``).  Since
     prod_{i<K} (q^m - q^i) = q^(K (K-1)/2) prod_{m-K<i<=m} (q^i - 1), the
-    whole count is one ``qseries._exact_product``, charged to
-    ``qseries.TOTAL_BUDGET`` before any big-integer work; over it,
-    BudgetExceededError is raised.
+    whole count is one ``qseries._exact_product``.
     """
     _check_nonnegative(m=m, n=n)
     _check_type(mtype, ring.s)

@@ -35,7 +35,7 @@ def gaussian_binomial(n: int, k: int, base):
     if k < 0 or k > n:
         return 0 if c == 1 else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
-    _check_count_budget(_unit_bits(base), [(n, k)], 0)
+    _charge("exact count", _count_cost, base, [(n, k)], 0)
     if base == 1:  # the product below would divide by b^i - 1 = 0
         return math.comb(n, k)
     if base == -1:
@@ -105,8 +105,9 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
     return pochhammer_infinite(qinv, qinv, policy)
 
 
-# Upper limit on the a-priori cost of one exact chain sum, in bit operations
-# (see _check_total_budget).  The totals in the tests, the published tables
+# Upper limit on the a-priori cost, in bit operations, of one exact count,
+# chain sum, ball profile or decimal rendering; _charge is the one place that
+# compares a cost with it.  The totals in the tests, the published tables
 # and the benchmark stay below 2^34, length 400 in R^200 at q = 2, s = 4 costs
 # about 2^36.7 and takes seconds, and length 4500 in R^3000 at q = 2, s = 3,
 # whose q-Pascal table alone would not fit in memory, costs 2^46.4.
@@ -119,21 +120,39 @@ def _unit_bits(base) -> float:
     return math.log2(max(abs(a), c)) + math.log2(c)
 
 
-def _check_count_budget(unit: float, binomials, exponent: int, factors: int = 0):
-    """Raise BudgetExceededError if an exact count would cost more than TOTAL_BUDGET.
+def _charge(what: str, cost_of, *sizes):
+    """Raise BudgetExceededError if ``what``, costing cost_of(*sizes) bit operations, is over TOTAL_BUDGET.
 
-    The count is base^exponent times the Gaussian binomials [m, k] listed in
-    ``binomials``, times ``factors`` more factors whose bits the exponent
-    already counts.  [m, k] takes min(k, m - k) steps, each multiplying and
-    dividing a product below 4 base^(k (m - k)) by factors of at most
-    m log2(base) bits, so a step costs the product's bits times the factor's
-    64-bit words.  The power and the products that join the factors each
-    cost about b (b/64)^0.585 for a result of b bits (Karatsuba).  A unit of
-    exponent costs ``unit`` bits, _unit_bits(base) for a count at ``base``.
-    Measured on one core, [2000, 1000]_2 estimates 2^35.9 and takes
-    1.3-2.6 s, and 3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
+    A cost past the float range (an OverflowError, inf, or nan from an inf) reads as more than 2^1024.
     """
-    bits = exponent * unit
+    try:
+        cost = float(cost_of(*sizes))
+    except OverflowError:
+        cost = math.inf
+    if cost > TOTAL_BUDGET or cost != cost:
+        digits = 2  # the fewest significant digits, two or more, that tell the cost from the budget
+        while digits < 17 and f"{cost:.{digits}g}" == f"{TOTAL_BUDGET:.{digits}g}":
+            digits += 1
+        shown = f"about {cost:.{digits}g}" if cost < math.inf else "more than 2^1024"
+        raise BudgetExceededError(f"{what} needs {shown} bit operations, over the budget of {TOTAL_BUDGET:.{digits}g}")
+
+
+def _product_cost(bits, products: int = 1) -> float:
+    """Bit operations of ``products`` products of ``bits`` bits each, b (b/64 + 1)^0.585 (Karatsuba)."""
+    return products * bits * (bits / 64 + 1) ** 0.585
+
+
+def _count_cost(base, binomials, exponent: int, factors: int = 0) -> float:
+    """Bit operations of base^exponent times the Gaussian binomials [m, k] in ``binomials``, a priori.
+
+    ``factors`` more factors join the product; the exponent counts their bits.
+    [m, k] takes min(k, m - k) steps, each multiplying and dividing a product
+    below 4 base^(k (m - k)) by factors of at most m log2(base) bits, so a
+    step costs the product's bits times the factor's 64-bit words.  Measured
+    on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
+    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
+    """
+    bits = exponent * (unit := _unit_bits(base))
     factors += 1 if exponent else 0
     cost = 0.0
     for m, k in binomials:
@@ -143,17 +162,7 @@ def _check_count_budget(unit: float, binomials, exponent: int, factors: int = 0)
             cost += 2 * k * size * (m * unit // 64 + 1)
             bits += size
             factors += 1
-    cost += (factors - 1 + (exponent > 0)) * bits * (bits / 64 + 1) ** 0.585
-    if cost > TOTAL_BUDGET:
-        raise BudgetExceededError(f"exact count needs {_over_budget(cost)}")
-
-
-def _over_budget(cost) -> str:
-    """The cost and TOTAL_BUDGET at the fewest significant digits, two or more, that tell them apart."""
-    digits = 2
-    while digits < 17 and f"{cost:.{digits}g}" == f"{TOTAL_BUDGET:.{digits}g}":
-        digits += 1
-    return f"about {cost:.{digits}g} bit operations, over the budget of {TOTAL_BUDGET:.{digits}g}"
+    return cost + _product_cost(bits, factors - 1 + (exponent > 0))
 
 
 def _exact_product(base, binomials, exponent: int, spans=()):
@@ -165,7 +174,7 @@ def _exact_product(base, binomials, exponent: int, spans=()):
     factors are joined by _tree_product.
     """
     span_exponent = sum((hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans)
-    _check_count_budget(_unit_bits(base), binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
+    _charge("exact count", _count_cost, base, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
     result = base ** exponent
     for m, k in binomials:
         result *= gaussian_binomial(m, k, base)
@@ -234,11 +243,10 @@ def _q_pascal(rows: int, base) -> list[list[int]]:
     return table
 
 
-def _check_total_budget(n: int, base, s: int, first: range, remaining: int | None):
-    """Raise BudgetExceededError if a chain sum would cost more than TOTAL_BUDGET.
+def _total_cost(n: int, base, s: int, first: range, remaining: int | None) -> int:
+    """Bit operations of a chain sum, a priori: (q-Pascal entries plus multiply-adds) times bits.
 
-    The cost is bounded a priori by (q-Pascal entries plus multiply-adds)
-    times the bits of the largest value the sum builds.  A state at a
+    The bits are those of the largest value the sum builds.  A state at a
     position with t parts left reads at most prev + 1 - ceil(remaining / t)
     terms, over remaining <= t prev; a state of the last position under a
     length constraint reads one.  The largest value is below
@@ -255,24 +263,21 @@ def _check_total_budget(n: int, base, s: int, first: range, remaining: int | Non
         return mu * (n - mu)
 
     triangle = (rows + 1) * (rows + 2) // 2
-    terms = triangle + len(first) * (rows + 1)
+    terms = triangle + (rows - first[0] + 1) * (rows + 1)
     if remaining is None:  # positions 3..s read a triangle each
         terms += max(s - 2, 0) * triangle
     elif s >= 3:  # a triangle at t = 1 part left, then t triangle (rows + 3) / 3, exactly, at t = 2..s-2
         terms += triangle + triangle * (rows + 3) // 3 * ((s - 2) * (s - 1) // 2 - 1)
     exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
-    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
-    if terms * bits > TOTAL_BUDGET:
-        raise BudgetExceededError(f"exact total at n={n}, s={s} needs {_over_budget(terms * bits)}")
+    return terms * (math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length()))
 
 
 def _charge_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     """Charge _chain_sum's arguments to the budget, as _chain_sum does before its walk."""
-    _check_total_budget(n, base, s, first, remaining)
+    _charge(f"exact total at n={n}, s={s}", _total_cost, n, base, s, first, remaining)
     if first[-1] < n:
-        unit = _unit_bits(base)
         for mu in first:
-            _check_count_budget(unit, [(n, mu)], 0)
+            _charge("exact count", _count_cost, base, [(n, mu)], 0)
 
 
 def _rank_tail(n: int, base, s: int, rank: int):
@@ -298,7 +303,7 @@ def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
     ``remaining`` None, ``first`` is one rank K, and the sum is over the parts
     below K, walked from the second position: the rank tail of _rank_tail.
     Either is charged first (_charge_chain_sum) as the whole chain sum over
-    ``first``: _check_total_budget, then each [n, mu], mu in ``first`` below
+    ``first``: _total_cost, then each [n, mu], mu in ``first`` below
     n, smallest first, so that a long thin sum is refused on the first
     binomial over budget.  A rank tail reads no [n, K], but its charge
     bounds the gcd in free_fraction_by_rank's Fraction(q^e, T).

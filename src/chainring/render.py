@@ -12,8 +12,8 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ParameterError
-from .qseries import TOTAL_BUDGET, _over_budget
+from .errors import ParameterError
+from .qseries import _charge, _product_cost
 
 SCI_BELOW = Fraction(1, 10_000)
 SCI_DIGITS = 3  # significant digits of values below SCI_BELOW
@@ -99,24 +99,20 @@ _LOG2_10 = math.log2(10)
 _RENDER_PRODUCTS = 6
 
 
-def _check_digits_budget(x: Fraction, digits: int):
-    """Raise BudgetExceededError if rendering ``digits`` digits of x would cost more than TOTAL_BUDGET.
+def _digits_cost(x: Fraction, digits: int) -> float:
+    """Bit operations of rendering ``digits`` digits of x, the quotient of x 10^digits by its denominator.
 
-    The digits are the quotient of x 10^digits by x's denominator, of
-    b = digits log2(10) + max(0, bits of numerator - bits of denominator) + 1
-    bits.  Producing them costs about _RENDER_PRODUCTS products of b bits,
-    each priced as qseries prices one, b (b/64 + 1)^0.585 (Karatsuba): the
-    two powers of ten, the scaling and the subquadratic decimal conversion.
-    The long division costs b times the denominator's 64-bit words.
-    Measured on one core, 10^6 digits of a 7-bit ratio take 1.0-1.4 s and
-    3 * 10^6 take 4.6-6.8 s; the budget admits up to about 4.8 * 10^6, which
-    take 8.4 s.
+    The quotient has b = digits log2(10) + max(0, bits of numerator - bits
+    of denominator) + 1 bits.  It costs about _RENDER_PRODUCTS products of
+    b bits: the two powers of ten, the scaling and the subquadratic decimal
+    conversion; the long division costs b times the denominator's 64-bit
+    words.  Measured on one core, 10^6 digits of a 7-bit ratio take
+    1.0-1.4 s and 3 * 10^6 take 4.6-6.8 s; the budget admits up to about
+    4.8 * 10^6, which take 8.4 s.
     """
     num_bits, den_bits = x.numerator.bit_length(), x.denominator.bit_length()
     bits = digits * _LOG2_10 + max(0, num_bits - den_bits) + 1
-    cost = _RENDER_PRODUCTS * bits * (bits / 64 + 1) ** 0.585 + bits * (den_bits / 64 + 1)
-    if cost > TOTAL_BUDGET:
-        raise BudgetExceededError(f"rendering {digits} digits needs {_over_budget(cost)}")
+    return _product_cost(bits, _RENDER_PRODUCTS) + bits * (den_bits / 64 + 1)
 
 
 def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> str:
@@ -132,7 +128,7 @@ def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> st
     x = Fraction(x)
     if x < 0:
         raise ValueError("rendering expects a nonnegative value")
-    _check_digits_budget(x, digits)
+    _charge(f"rendering {digits} digits", _digits_cost, x, digits)
     if hybrid_below is None:
         hybrid_below = Fraction(1, 2 * 10 ** digits)
     if x == 0:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError, VerificationError
+from .errors import BudgetExceededError, ParameterError, VerificationError, _exponent_text
 from . import modcount
 from .modcount import ChainRingSpec
 
@@ -209,7 +209,7 @@ def _check_power_budget(ring: ConcreteRing, exponent: int, budget: int, what: st
     if ring.s * exponent < budget.bit_length() and ring.modulus ** exponent <= budget:
         return
     base = ring.modulus if ring.s * (ring.p - 1).bit_length() <= 64 else f"({ring.p}^{ring.s})"
-    raise BudgetExceededError(f"{base}^{exponent} {what} exceed budget {budget}")
+    raise BudgetExceededError(f"{base}^{_exponent_text(exponent)} {what} exceed budget {budget}")
 
 
 @lru_cache(maxsize=16)

@@ -311,7 +311,7 @@ def decimal_length(value: int) -> int:
 
 
 def loop_total_estimate(n: int, base, s: int, first: range, remaining) -> int:
-    """The a-priori chain-sum cost of ``qseries._check_total_budget``, one loop step per position."""
+    """The a-priori chain-sum cost of ``qseries._total_cost``, one loop step per position."""
     from chainring.qseries import _unit_bits
 
     rows = first[-1]

@@ -344,6 +344,50 @@ class TestFloatRangeBase:
         assert err.startswith("error: q has ") and err.count("\n") == 1
 
 
+class TestExtremeIntOptions:
+    # an int option past the float range, or a derived int past str's digit
+    # limit, died in an OverflowError or ValueError traceback
+    INT_FLAGS = {flag for flag, spec in cli.OPTIONS.values() if spec.get("type") is int} - {"--threads"}
+
+    @pytest.mark.parametrize(
+        "size", [10**400, 10**20, 2**63, 10**2200, 2**1024, 3 * 2**1023],
+        ids=["10^400", "10^20", "2^63", "10^2200", "2^1024", "3*2^1023"],
+    )
+    def test_every_pinned_line_exits_cleanly(self, capsys, monkeypatch, size):
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        monkeypatch.delenv("CHAINRING_TARGET_TAIL", raising=False)
+        lines = [["count", "length", "--n", str(10**20), "--q", "2", "--s", "2", "--ell", str(10**20)]]
+        for command, pinned in SURFACE["json"].items():
+            argv = [*command.split(), *pinned["argv"], "--precision", "6"]
+            lines += [
+                [*argv[: i + 1], str(size), *argv[i + 2 :]] for i, flag in enumerate(argv) if flag in self.INT_FLAGS
+            ]
+        failed = []
+        for argv in lines:
+            status, out, err = _outcome(capsys, cli.run, argv)
+            clean = status == 0 or (out == "" and err.count("\n") == 1 and err.startswith("error:") and "inf" not in err)
+            if status not in (0, 2, 3) or not clean:
+                failed.append((argv, status, err[-200:]))
+        assert len(lines) > 80 and failed == []
+
+    def test_exponents_past_2_64_named_by_bit_length(self, capsys):
+        big = 10**2200
+        bits = (big * big).bit_length()
+        assert _outcome(capsys, cli.run, ["oracle", "enumerate", "--p", "2", "--s", "1", "--n", str(big)]) == (
+            3, "", f"error: 2^(a {bits}-bit number) generator matrices exceed budget 16777216\n"
+        )
+        assert (big * big - big).bit_length() == bits
+        status, out, err = _outcome(capsys, cli.run, ["density", "bounds", "--q", "2", "--s", str(big)])
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: the upper bound's base q^-(s^2-s) = 2^-(a {bits}-bit number) underflows")
+
+    def test_counts_past_the_float_range_refused(self, capsys):
+        n = str(10**400)
+        status, out, err = run_cli(capsys, ["count", "free", "--n", n, "--q", "2", "--s", "2", "--K", "2"])
+        assert (status, out) == (3, "")
+        assert err == "error: exact count needs more than 2^1024 bit operations, over the budget of 1.4e+11\n"
+
+
 class TestCountAndProb:
     def test_count_type_example(self, capsys):
         status, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -615,6 +616,35 @@ class TestExperiment:
         b = gv_random_experiment(8, 0.05, 0.2, model, trials=10, seed=3, jobs=2)
         assert a.outcomes == b.outcomes
         assert a.joint_count == b.joint_count
+
+    def test_pool_capped_at_chunk_and_cores(self, monkeypatch):
+        # a stand-in executor records its size and maps in this thread, so no thread starts
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(coding.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(coding, "_TRIAL_CHUNK", 3)
+        model = make_weight_model(LEE, Z4)
+        serial = gv_random_experiment(8, 0.05, 0.2, model, trials=7, seed=3)
+        report = gv_random_experiment(8, 0.05, 0.2, model, trials=7, seed=3, jobs=100000)
+        assert sizes == [3, 3, 1]  # chunks of 3, 3 and 1 matrices
+        assert report == serial
+        monkeypatch.setattr(coding.os, "cpu_count", lambda: None)
+        gv_random_experiment(8, 0.05, 0.2, model, trials=7, seed=3, jobs=2)
+        assert sizes[3:] == [1, 1, 1]
 
     def test_free_fraction_tracks_unimodular_probability(self):
         model = make_weight_model(LEE, Z4)

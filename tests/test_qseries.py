@@ -299,30 +299,27 @@ class TestQMultinomial:
         assert time.perf_counter() - start < 1
 
 
-class _CostLog:
-    """Stands in for ``qseries.TOTAL_BUDGET``: logs each cost compared with it and admits it."""
+def test_costs_past_the_float_range_refused():
+    message = r"^exact (total at n=10{400}, s=2|count) needs more than 2\^1024 bit operations, over the budget of 1\.4e\+11$"
+    with pytest.raises(BudgetExceededError, match=message):
+        q_multinomial(10**400, 10**400, 2, 2)
+    # [2^1023, 1]_5 is charged nan, an infinite product size times inf // 64, and nan > budget is false
+    assert math.isnan(qseries._count_cost(5, [(2**1023, 1)], 0))
+    with pytest.raises(BudgetExceededError, match=message):
+        qseries._charge("exact count", qseries._count_cost, 5, [(2**1023, 1)], 0)
 
-    def __init__(self):
-        self.costs: list = []
 
-    def __lt__(self, cost):
-        self.costs.append(cost)
-        return False
-
-
-def test_total_estimate_equals_loop(monkeypatch):
+def test_total_estimate_equals_loop():
     # the closed form is the loop's integer: (rows+1)(rows+2)(rows+3)/2 is a
     # multiple of 3, so every floor division in the loop is exact
-    log = _CostLog()
-    monkeypatch.setattr(qseries, "TOTAL_BUDGET", log)
     for base in (2, 3, Fraction(3, 2), Fraction(1, 3)):
         for s in range(1, 40):
             for rows in range(60):
                 for n, first in ((rows, range(rows, rows + 1)), (2 * rows + 3, range(rows // 2, rows + 1))):
                     for remaining in (None, rows):
-                        qseries._check_total_budget(n, base, s, first, remaining)
+                        cost = qseries._total_cost(n, base, s, first, remaining)
                         expected = loop_total_estimate(n, base, s, first, remaining)
-                        assert log.costs[-1] == expected, (base, s, rows, n, remaining)
+                        assert cost == expected, (base, s, rows, n, remaining)
 
 
 class TestBalancedMultinomial:

@@ -101,6 +101,10 @@ class TestRatio:
             render_ratio(value, 10 ** 8)
         assert time.thread_time() - start < 0.1
 
+    def test_digits_past_the_float_range_refused(self):
+        with pytest.raises(BudgetExceededError, match=r"digits needs more than 2\^1024 bit operations, over the budget of"):
+            render_ratio(Fraction(1, 3), 10**308)
+
     def test_long_ratio_at_few_digits_admitted(self):
         # the digits' quotient sets the price, not the 400,000-bit ratio
         value = Fraction(3 ** 252371, 2 ** 400000)
