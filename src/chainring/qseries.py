@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from .approx import ApproxReal, TruncationPolicy, default_policy
 from .errors import BudgetExceededError, NonconvergentError, ParameterError
@@ -36,10 +37,8 @@ def gaussian_binomial(n: int, k: int, base):
         return 0 if c == 1 else Fraction(0)
     k = min(k, n - k)  # symmetry keeps the loop short
     _charge("exact count", _count_cost, base, [(n, k)], 0)
-    if base == 1:  # the product below would divide by b^i - 1 = 0
-        return math.comb(n, k)
-    if base == -1:
-        return 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
+    if a in (c, -c):  # the product below would divide by b^i - 1 = 0
+        return _unit_binomial(n, k, a)
     result = 1
     for i in range(1, k + 1):
         # each partial product is c^(i (n-k)) [n-k+i, i]_{a/c}, an integer, so
@@ -120,10 +119,12 @@ def _unit_bits(base) -> float:
     return math.log2(max(abs(a), c)) + math.log2(c)
 
 
-def _charge(what: str, cost_of, *sizes):
+def _charge(what, cost_of, *sizes):
     """Raise BudgetExceededError if ``what``, costing cost_of(*sizes) bit operations, is over TOTAL_BUDGET.
 
-    A cost past the float range (an OverflowError, inf, or nan from an inf) reads as more than 2^1024.
+    ``what`` is a string, or a function that returns it, called only on a
+    refusal.  A cost past the float range (an OverflowError, inf, or nan
+    from an inf) reads as more than 2^1024.
     """
     try:
         cost = float(cost_of(*sizes))
@@ -134,6 +135,7 @@ def _charge(what: str, cost_of, *sizes):
         while digits < 17 and f"{cost:.{digits}g}" == f"{TOTAL_BUDGET:.{digits}g}":
             digits += 1
         shown = f"about {cost:.{digits}g}" if cost < math.inf else "more than 2^1024"
+        what = what() if callable(what) else what
         raise BudgetExceededError(f"{what} needs {shown} bit operations, over the budget of {TOTAL_BUDGET:.{digits}g}")
 
 
@@ -142,7 +144,7 @@ def _product_cost(bits, products: int = 1) -> float:
     return products * bits * (bits / 64 + 1) ** 0.585
 
 
-def _count_cost(base, binomials, exponent: int, factors: int = 0) -> float:
+def _count_cost(base, binomials, exponent: int, factors: int = 0, unit: float | None = None) -> float:
     """Bit operations of base^exponent times the Gaussian binomials [m, k] in ``binomials``, a priori.
 
     ``factors`` more factors join the product; the exponent counts their bits.
@@ -150,9 +152,11 @@ def _count_cost(base, binomials, exponent: int, factors: int = 0) -> float:
     below 4 base^(k (m - k)) by factors of at most m log2(base) bits, so a
     step costs the product's bits times the factor's 64-bit words.  Measured
     on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
-    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
+    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.  ``unit`` is
+    _unit_bits(base), when a caller charging many counts has it already.
     """
-    bits = exponent * (unit := _unit_bits(base))
+    unit = _unit_bits(base) if unit is None else unit
+    bits = exponent * unit
     factors += 1 if exponent else 0
     cost = 0.0
     for m, k in binomials:
@@ -201,23 +205,137 @@ def _tree_product(factors: list):
 
 
 def q_multinomial(n: int, ell: int, s: int, base):
-    """Generalized Gaussian coefficient of depth s.
+    """Generalized Gaussian coefficient of depth s, N_s(n, ell).
 
     Sum over all compositions mu_1 + ... + mu_s = ell of
     base^(sum_j (n - mu_j) mu_{j+1}) * [n, mu_1] [mu_1, mu_2] ... [mu_{s-1}, mu_s]
     at the given base.  Compositions that are not weakly decreasing or exceed n
     contribute nothing (the k > n convention zeroes them), so this is the
     chain sum over n >= mu_1 >= ... >= mu_s with sum mu_i = ell; at a prime
-    power base q it counts the length-ell submodules of R^n.  s = 1
-    degenerates to ``gaussian_binomial``.  An integer base gives an int, any
-    other rational base a Fraction.  Raises BudgetExceededError when the sum
-    would exceed TOTAL_BUDGET.
+    power base q it counts the length-ell submodules of R^n.  s = 1 is one
+    ``gaussian_binomial``, s = 2 one diagonal (_diagonal_sum), and every
+    deeper sum the Bailey-chain alternating sum (_bailey_sum).  An integer
+    base gives an int, any other rational base a Fraction.  Every depth is
+    first charged as the chain walk over ceil(ell / s) <= mu_1 <= min(n, ell)
+    (_charge_chain_sum) and raises BudgetExceededError over TOTAL_BUDGET.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
     if ell < 0 or ell > n * s:
         raise ParameterError(f"ell must lie in [0, {n * s}], got {ell}")
-    return _chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
+    _charge_chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
+    if s == 1:
+        return gaussian_binomial(n, ell, base)
+    return _diagonal_sum(n, ell, base) if s == 2 else _bailey_sum(n, ell, s, base)
+
+
+def _diagonal_sum(n: int, ell: int, base):
+    """The depth-two length sum: T(mu) base^((n - mu) j) summed over mu, j = ell - mu.
+
+    T(mu) = [n, mu] [mu, j] is a q-trinomial, read at the first mu and then
+    stepped by the ratio
+    T(mu) / T(mu - 1) = (b^(j+1) - 1)(b^(n-mu+1) - 1) / ((b^(mu-j-1) - 1)(b^(mu-j) - 1)),
+    and the exponent of the power falls by n + ell + 1 - 2 mu from mu - 1 to
+    mu, so the powers fold in by Horner.  At b = a/c in lowest terms the sum
+    runs on homogenised integers (see _chain_sum), the ratio with each
+    b^i - 1 read as a^i - c^i: T(mu) base^((n - mu) j) has the denominator
+    c^(mu (n - mu) + j (n - j)), each term is padded to c^(2 P), P the
+    largest mu (n - mu) over the parts, and the sum is one Fraction.  A base
+    1 or -1, where the ratio would divide by zero, reads each T(mu).
+    """
+    a, c = base.as_integer_ratio()
+    lo, hi = -(-ell // 2), min(n, ell)
+    top = (peak := min(hi, n // 2)) * (n - peak)
+    lookup = a in (c, -c)
+
+    def binomial(m: int, k: int) -> int:  # [m, k]_h
+        value = gaussian_binomial(m, k, base)
+        return value if c == 1 else value.numerator * (c ** (k * (m - k)) // value.denominator)
+
+    total = term = 0
+    for mu in range(lo, hi + 1):
+        j = ell - mu
+        if lookup:
+            term = _unit_binomial(n, mu, a) * _unit_binomial(mu, j, a)
+        elif mu == lo:
+            term = binomial(n, mu) * binomial(mu, j)
+        else:
+            term *= (a ** (j + 1) - c ** (j + 1)) * (a ** (n - mu + 1) - c ** (n - mu + 1))
+            term //= (a ** (mu - j - 1) - c ** (mu - j - 1)) * (a ** (mu - j) - c ** (mu - j))
+        padded = term if c == 1 else term * c ** (2 * top - mu * (n - mu) - j * (n - j))
+        total = total * a ** (n + ell + 1 - 2 * mu) + padded
+    return total if c == 1 else Fraction(total, c ** (2 * top))
+
+
+def _bailey_sum(n: int, ell: int, s: int, base):
+    """The length sum N_s(n, ell) as the Bailey-chain alternating sum.
+
+    N_s(n, ell) = sum_{r=0}^{R} (-1)^r b^(r (n s - ell) + r (r + 1) / 2) [n, r]
+    ([n + L_r, n] - b^(n - r) [n + L_r - 1, n]), with L_r = ell - (s + 1) r,
+    R = min(n, floor(ell / (s + 1))) and [n - 1, n] = 0 (Andrews, "Multiple
+    series Rogers-Ramanujan type identities", Pacific J. Math. 114, 1984).
+    With p = 1/b and A = b^n t, each chain position multiplies by
+    [m, k]_b b^((n - m) k) t^k = [m, k]_p p^(k^2) A^k, one step of Bailey's
+    lemma with rho_1, rho_2 -> infinity.  The empty tail past position s is
+    the unit Bailey pair, and s + 1 steps, with the q-binomial expansion of
+    1 / (A p^r; p)_(n+1), give the coefficient of t^ell.  The sum is
+    symmetric under ell -> n s - ell (length duality), so ell is first
+    reduced to the smaller side, which makes R < n / 2.
+
+    [n + L, n] is [n + L - 1, n] (b^(n+L) - 1) / (b^L - 1), so the bracket
+    is [n + L - 1, n] (b^(n+L) - 1 - b^(n-r) (b^L - 1)) / (b^L - 1), one exact
+    division by a small factor (and 1 at L = 0); no division is by a factor
+    as large as b^n.  The terms run from r = R down, the powers of b folded
+    in by Horner: the exponent grows by n s - ell + r + 1 from r to r + 1.
+    [n, 0..R] are walked once by _binomial_row, and so is [n + L - 1, n] at
+    the first L > 0; from r to r - 1 it takes one grouped step of s + 1
+    factors, a product of the small factors, then one multiplication and
+    one exact division of the large value, or, when n <= s, a fresh walk
+    of n ratio steps, which costs less.  At b = a/c in lowest terms every
+    step runs on homogenised integers [m, k]_h = c^(k (m-k)) [m, k], each
+    b^i - 1 read as a^i - c^i: term r has the denominator
+    c^(n ell - r ell - r (r - 1) / 2), so a Horner step brings c^(ell + r),
+    and the sum is one Fraction(total, c^(n ell)).  At a base 1 or -1, where
+    the ratio steps would divide by zero, each binomial is read directly.
+    """
+    a, c = base.as_integer_ratio()
+    ell = min(ell, n * s - ell)
+    top = ell // (s + 1)
+    lookup = a in (c, -c)
+    if lookup:  # a ratio step would divide by b^i - 1 = 0
+        heads = [_unit_binomial(n, r, a) for r in range(top + 1)]
+    else:
+        heads = list(islice(_binomial_row(n, a, c), top + 1))  # [n, r]_h
+    total = 0
+    below = None  # [n + L - 1, n]_h
+    for r in range(top, -1, -1):
+        size = ell - (s + 1) * r  # L_r
+        m = n + size
+        if size == 0:  # [n, n] = 1 and [n - 1, n] = 0, at r = R only
+            term = heads[r]
+        elif lookup:
+            term = heads[r] * (_unit_binomial(m, n, a) - a ** (n - r) * _unit_binomial(m - 1, n, a))
+        else:
+            if below is None or n <= s:  # then n ratio steps cost less than a step of s + 1 factors
+                below = next(islice(_binomial_row(m - 1, a, c), min(size - 1, n), None))
+            else:
+                below *= math.prod(a**i - c**i for i in range(m - s - 1, m))
+                below //= math.prod(a**i - c**i for i in range(size - s - 1, size))
+            term = heads[r] * (a**m - c**m - a ** (n - r) * c**r * (a**size - c**size)) * below
+            term //= a**size - c**size
+        total = term - a ** (n * s - ell + r + 1) * c ** (ell + r) * total if total else term
+    return total if c == 1 else Fraction(total, c ** (n * ell))
+
+
+def _unit_binomial(m: int, k: int, unit: int) -> int:
+    """[m, k] at the base unit = 1 or -1, where the product formula would divide by b^i - 1 = 0.
+
+    At 1 it is binomial(m, k); at -1 it is 0 for m even and k odd, else
+    binomial(m // 2, k // 2).
+    """
+    if unit == 1:
+        return math.comb(m, k)
+    return 0 if m % 2 == 0 and k % 2 else math.comb(m // 2, k // 2)
 
 
 def _q_pascal(rows: int, base) -> list[list[int]]:
@@ -244,17 +362,21 @@ def _q_pascal(rows: int, base) -> list[list[int]]:
 
 
 def _total_cost(n: int, base, s: int, first: range, remaining: int | None) -> int:
-    """Bit operations of a chain sum, a priori: (q-Pascal entries plus multiply-adds) times bits.
+    """Bit operations of the chain walk over mu_1 in ``first``, a priori: (q-Pascal entries plus multiply-adds) times bits.
 
-    The bits are those of the largest value the sum builds.  A state at a
-    position with t parts left reads at most prev + 1 - ceil(remaining / t)
-    terms, over remaining <= t prev; a state of the last position under a
-    length constraint reads one.  The largest value is below
-    4^s (rows+1)^s b^E at an integer base b, where E bounds
+    ``remaining`` is the length of a length sum, or None for a rank tail.
+    The walk takes one position at a time from position s up and reads a
+    q-Pascal table of the rows up to max(first); a state at a position with
+    t parts left reads at most prev + 1 - ceil(remaining / t) terms, over
+    remaining <= t prev, and a state of the last position under a length
+    constraint reads one.  The bits are those of the largest value the walk
+    builds, below 4^s (rows+1)^s b^E at an integer base b, where E bounds
     sum_i mu_i (n - mu_i) over the chains, because [m, k]_b < 4 b^(k (m - k))
     and there are at most (rows+1)^s chains.  A unit of E costs
-    _unit_bits(base) bits.  At s <= 2 the sum builds no table but is charged
-    as if it did, so that no input moves between admitted and refused.
+    _unit_bits(base) bits.  Only a rank tail at s >= 3 runs this walk; the
+    rank tail at s <= 2 and the length sums at every depth (one binomial,
+    one diagonal, or the Bailey sum of _bailey_sum) are charged as if they
+    ran it, so that no input moves between admitted and refused.
     """
     rows = first[-1]
 
@@ -273,150 +395,96 @@ def _total_cost(n: int, base, s: int, first: range, remaining: int | None) -> in
 
 
 def _charge_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
-    """Charge _chain_sum's arguments to the budget, as _chain_sum does before its walk."""
-    _charge(f"exact total at n={n}, s={s}", _total_cost, n, base, s, first, remaining)
+    """Charge the chain sum over mu_1 in ``first`` to the budget, before any big-integer work.
+
+    ``remaining`` is the length of a length sum (q_multinomial), or None for
+    a rank tail (_rank_tail).  First _total_cost, then each [n, mu], mu in
+    ``first`` below n, smallest first, so that a long thin sum is refused
+    on the first binomial over budget.
+    """
+    _charge(lambda: f"exact total at n={n}, s={s}", _total_cost, n, base, s, first, remaining)
     if first[-1] < n:
+        unit = _unit_bits(base)
         for mu in first:
-            _charge("exact count", _count_cost, base, [(n, mu)], 0)
+            _charge("exact count", _count_cost, base, [(n, mu)], 0, 0, unit)
 
 
 def _rank_tail(n: int, base, s: int, rank: int):
     """The rank tail T below mu_1 = rank: [n, rank] T is the rank sum.
 
     T sums over rank >= mu_2 >= ... >= mu_s >= 0 the weights
-    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), the chain sum of
-    _chain_sum with mu_1 = rank, walked from the second position.  At an
+    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), the chain sum
+    of _chain_sum with mu_1 = rank, walked from the second position.  At an
     integer base q and rank < n every chain but the all-zero one carries
     q^((n - rank) mu_2), so T = 1 mod q.
     """
-    return _chain_sum(n, base, s, range(rank, rank + 1), None)
+    return _chain_sum(n, base, s, rank)
 
 
-def _chain_sum(n: int, base, s: int, first: range, remaining: int | None):
-    """Charge a chain sum to the budget and walk it: a length sum or a rank tail.
+def _chain_sum(n: int, base, s: int, rank: int):
+    """Charge the rank tail below mu_1 = rank to the budget and walk it.
 
-    A chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 with mu_1 in ``first`` is
-    weighted by prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), which at
-    a prime power base counts the submodules of that shape.  With
-    ``remaining`` set, the sum is over the chains with mu_1 + ... + mu_s =
-    remaining, walked from the first position below n (q_multinomial).  With
-    ``remaining`` None, ``first`` is one rank K, and the sum is over the parts
-    below K, walked from the second position: the rank tail of _rank_tail.
-    Either is charged first (_charge_chain_sum) as the whole chain sum over
-    ``first``: _total_cost, then each [n, mu], mu in ``first`` below
-    n, smallest first, so that a long thin sum is refused on the first
-    binomial over budget.  A rank tail reads no [n, K], but its charge
-    bounds the gcd in free_fraction_by_rank's Fraction(q^e, T).
+    A chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 is weighted by
+    prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), which at a prime
+    power base counts the submodules of that shape; the rank tail is the
+    sum over the chains with mu_1 = rank of the factors from i = 2 on.  It
+    is charged first (_charge_chain_sum) as the chain sum over mu_1 = rank:
+    it reads no [n, rank], but that charge bounds the gcd in
+    free_fraction_by_rank's Fraction(q^e, T).
 
-    The walk takes one whole position at a time, from position s up to the
-    first one walked, and keeps only the position below.  For each part prev
-    before a position it holds one suffix sum per remainder rem the parts
-    before can leave (a contiguous range; a rank tail has one), summed by
-    Horner in x = a^(n - prev) over the parts mu, each times the sum of
-    (mu, rem - mu) below.  Under a length the last two parts (mu, j = rem - mu)
-    are one diagonal, T(mu) = [prev, mu] [mu, j] times b^((n - prev) mu + (n - mu) j),
-    whose exponent falls by prev + rem + 1 - 2 mu from mu - 1 to mu and ends
-    at (n - prev) rem: the powers fold in by Horner, and the sum ends in
-    x^rem.  So s = 2 is one diagonal below n.  At s >= 3 every position reads
-    row segments of every row up to max(first), again and again, so those
-    rows are built once as a q-Pascal table and read directly.  At s <= 2
-    the walk reads one row or one diagonal, which would not repay a
-    quadratic table: row K of a rank tail is walked by _binomial_row, and the
-    diagonal steps from T(lo) by the ratio of q-trinomials
-    T(mu) / T(mu - 1) = (b^(j+1) - 1)(b^(prev-mu+1) - 1) / ((b^(mu-j-1) - 1)(b^(mu-j) - 1))
-    (a base 1 or -1, where it would divide by zero, reads each T(mu)).
+    The walk takes one whole position at a time, from position s up to
+    position 2, and keeps only the position below: for each part prev
+    before a position one sum, by Horner in x = a^(n - prev) over the parts
+    mu <= prev, each times the sum below mu.  At s >= 3 every position
+    reads every row up to rank, so those rows are built once as a q-Pascal
+    table; at s = 2 the walk reads row ``rank`` alone, walked by
+    _binomial_row (a base 1 or -1, where its ratio steps would divide by
+    zero, reads each entry), and at s = 1 T is 1.
 
     The walk runs on integers at every base.  At b = a/c in lowest terms it
     reads homogenised binomials [m, k]_h = c^(k (m-k)) [m, k], and a chain's
-    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i));
-    the ratio keeps its form with each b^i - 1 read as a^i - c^i.  Every
-    part is at most max(first), so each mu (n - mu) is at most P = m (n - m),
-    m = min(max(first), floor(n / 2)), and a sum from position pos holds
-    c^((s - pos + 1) P) times its value: a term is padded by c^(P - mu (n - mu)),
-    a diagonal's by c^(2 P - mu (n - mu) - j (n - j)), and the sum is one
-    Fraction(total, c^((s - pos + 1) P)).  At c = 1 the sum is an int.
+    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i)).
+    Every part is at most rank, so each mu (n - mu) is at most P = m (n - m),
+    m = min(rank, floor(n / 2)): a term is padded by c^(P - mu (n - mu)), and
+    the sum is one Fraction(total, c^((s - 1) P)).  At c = 1 it is an int.
 
     The walk nests one call per position, so a depth s past Python's
     recursion limit raises BudgetExceededError.
     """
-    _charge_chain_sum(n, base, s, first, remaining)
+    _charge_chain_sum(n, base, s, range(rank, rank + 1), None)
     a, c = base.as_integer_ratio()
-    rows = first[-1]
-    # every part is at most rows, so this is P, the peak of mu (n - mu)
-    top = (peak := min(rows, n // 2)) * (n - peak)
-    pascal = _q_pascal(rows, base) if s >= 3 else []
-    lookup = a in (c, -c)  # at a base 1 or -1 a ratio step would divide by b^i - 1 = 0
-    start = 1 if remaining is not None else 2  # a length sum walks from below n, a rank tail from below K
+    top = (peak := min(rank, n // 2)) * (n - peak)
+    pascal = _q_pascal(rank, base) if s >= 3 else None
+    lookup = a in (c, -c)
 
-    def binomial(m: int, k: int) -> int:  # [m, k]_h of a row the table lacks
-        value = gaussian_binomial(m, k, base)
-        return value if c == 1 else value.numerator * (c ** (k * (m - k)) // value.denominator)
-
-    def level(pos: int) -> tuple[list, list]:
-        # sums[i]: suffix sums below the i-th prev (prev = i past the start), from rem = starts[i] - prev on
-        diagonal = remaining is not None and pos == s - 1  # the last two parts as one
-        below, offsets = level(pos + 1) if pos < s and not diagonal else (None, None)
-        apow = list(map(a.__pow__, range(rows + 2))) if diagonal and pascal else None
-        sums, starts = [], []
-        for prev in (n if pos == 1 else rows,) if pos == start else range(rows + 1):
-            rlo = rhi = 0  # a rank tail's one sum, at starts[i] = 0
-            if remaining is not None:  # the parts before pos sum to remaining - rem, each in [prev, n]
-                rlo = max(0, remaining - prev - (pos - 2) * n)
-                rhi = min(remaining - (pos - 1) * prev, (s - pos + 1) * prev)
-            sums.append(values := [])
-            starts.append(0 if remaining is None else prev + rlo)
-            x = a ** (n - prev) if rlo <= rhi else 1
-            power = x**rlo if diagonal else 1  # x^rem, the diagonal's last factor
-            for rem in range(rlo, rhi + 1):
-                # weak decrease bounds the part by prev, and the s - pos parts still to
-                # come, each at most the part chosen now, must absorb what remains
-                lo, hi = (0, prev) if remaining is None else (-(-rem // (s - pos + 1)), min(prev, rem))
-                total = term = 0
-                if diagonal and pascal:  # T(mu) = [prev, mu] [mu, rem - mu], read from the table
-                    row = pascal[prev]
-                    for mu in range(lo, hi + 1):  # Horner: a^(prev + rem + 1 - 2 mu) before T(mu)
-                        term = row[mu] * pascal[mu][rem - mu]
-                        if c != 1:
-                            term *= c ** (2 * top - mu * (n - mu) - (rem - mu) * (n - rem + mu))
-                        total = total * apow[prev + rem + 1 - 2 * mu] + term
-                elif diagonal:  # s = 2: T(lo) read, then the ratio T(mu) / T(mu - 1), j = rem - mu
-                    for mu in range(lo, hi + 1):
-                        j = rem - mu
-                        if mu == lo or lookup:
-                            term = binomial(prev, mu) * binomial(mu, j)
-                        else:
-                            term *= (a ** (j + 1) - c ** (j + 1)) * (a ** (prev - mu + 1) - c ** (prev - mu + 1))
-                            term //= (a ** (mu - j - 1) - c ** (mu - j - 1)) * (a ** (mu - j) - c ** (mu - j))
-                        padded = term if c == 1 else term * c ** (2 * top - mu * (n - mu) - j * (n - j))
-                        total = total * a ** (prev + rem + 1 - 2 * mu) + padded
-                if diagonal:
-                    values.append(total * power)
-                    power *= x
-                    continue
-                parts = range(hi, lo - 1, -1)
-                if prev < len(pascal):
-                    binomials = reversed(pascal[prev][lo : hi + 1])
-                elif pos > 1 and not lookup:
-                    # a rank tail's one row at s = 2, walked from [prev, 0] = [prev, prev]
-                    binomials = _binomial_row(prev, a, c)
-                else:  # position 1, or a row whose ratio steps would divide by b^i - 1 = 0
-                    binomials = (binomial(prev, mu) for mu in parts)
-                for mu, term in zip(parts, binomials):  # Horner in x
-                    if below is not None:  # past the last part the suffix is 1
-                        term *= below[mu][rem - offsets[mu]]
-                    total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
-                values.append(total * x**lo if total and lo else total)
-        return sums, starts
+    def level(pos: int) -> list:  # the sums below each prev, prev = rank at position 2 and 0..rank above it
+        below = level(pos + 1) if pos < s else None
+        sums = []
+        for prev in (rank,) if pos == 2 else range(rank + 1):
+            if pascal:
+                row = pascal[prev]
+            elif lookup:
+                row = (_unit_binomial(prev, mu, a) for mu in range(prev + 1))
+            else:
+                row = _binomial_row(prev, a, c)
+            x = a ** (n - prev)
+            total = 0
+            for mu, term in zip(range(prev, -1, -1), row):  # Horner in x; a row reads the same from either end
+                if below is not None:  # past the last part the suffix is 1
+                    term *= below[mu]
+                total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
+            sums.append(total)
+        return sums
 
     try:
-        total = level(start)[0][0][0] if start <= s else 1
+        total = level(2)[0] if s >= 2 else 1
     except RecursionError:  # level nests one call per position
         raise BudgetExceededError(
             f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
         ) from None
     finally:
         del level  # level's cell refers to level: without this the table would live until a collection
-    return total if c == 1 else Fraction(total, c ** ((s - start + 1) * top))
+    return total if c == 1 else Fraction(total, c ** ((s - 1) * top))
 
 
 def _binomial_row(m: int, a: int, c: int):

@@ -128,7 +128,7 @@ def render_ratio(x, digits: int = 6, hybrid_below: Fraction | None = None) -> st
     x = Fraction(x)
     if x < 0:
         raise ValueError("rendering expects a nonnegative value")
-    _charge(f"rendering {digits} digits", _digits_cost, x, digits)
+    _charge(lambda: f"rendering {digits} digits", _digits_cost, x, digits)
     if hybrid_below is None:
         hybrid_below = Fraction(1, 2 * 10 ** digits)
     if x == 0:

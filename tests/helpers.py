@@ -149,6 +149,23 @@ def naive_chain_sum(n: int, base, s: int, first, remaining: int | None):
     return total
 
 
+def sublattice_count(n: int, ell: int, base):
+    """The coefficient of x^ell in prod_{i<n} 1 / (1 - base^i x), summed factor by factor.
+
+    At a prime power base q this counts the submodules of index q^ell in
+    O^n, O a complete discrete valuation ring with residue field of q
+    elements (the lattice zeta function of O^n).  Each of them contains
+    t^ell O^n, so for s >= ell it is also the number of length-ell
+    submodules of R^n, R = O / t^s, with no reference to chains.
+    """
+    coefficients = [1] + [0] * ell
+    for i in range(n):
+        power = base**i
+        for k in range(1, ell + 1):
+            coefficients[k] += power * coefficients[k - 1]
+    return coefficients[ell]
+
+
 def cartan_matrix_form(kvec, s: int) -> Fraction:
     """v C^{-1} v^T summed entry by entry, C^{-1}_{ij} = min(i, j) - ij/s."""
     return sum(

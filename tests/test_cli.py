@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import chainring
 from chainring import cli, density, simulate
 from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError, VerificationError
-from chainring.modcount import ChainRingSpec, free_fraction_by_rank, matrix_count_by_type, total_by_rank
+from chainring.modcount import ChainRingSpec, count_free, free_fraction_by_rank, matrix_count_by_type, total_by_rank
 
-from helpers import chain_dp_limit_density, decimal_length, leading_digits
+from helpers import chain_dp_limit_density, decimal_length, leading_digits, sublattice_count
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -266,15 +266,14 @@ class TestExitCodes:
         "argv,s",
         [
             ("count rank --n 3 --q 2 --s 990 --K 1", 990),
-            ("count length --n 3 --q 2 --s 990 --ell 5", 990),
             ("prob free-rank --n 3 --q 2 --s 1100 --K 1", 1100),
-            ("prob free-length --n 3 --q 2 --s 1100 --ell 1100", 1100),
             ("density rank-trend --q 2 --s 1100 --rprime 1/2 --n-list 10,20", 1100),
             ("density order-explore --n 3 --q 2 --s 1100 --ell 2", 1100),
         ],
     )
     def test_walk_past_recursion_limit_exits_3(self, capsys, argv, s):
-        # the chain sum and the type walk nest one call per position
+        # the rank tail and the type walk nest one call per position; a length
+        # sum does not (test_deep_length_sums_are_lattice_counts)
         status, out, err = run_cli(capsys, argv.split())
         assert (status, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and f"s={s} " in err
@@ -362,13 +361,17 @@ class TestExtremeIntOptions:
             lines += [
                 [*argv[: i + 1], str(size), *argv[i + 2 :]] for i, flag in enumerate(argv) if flag in self.INT_FLAGS
             ]
-        failed = []
+        failed, slow = [], []
         for argv in lines:
+            start = time.thread_time()
             status, out, err = _outcome(capsys, cli.run, argv)
             clean = status == 0 or (out == "" and err.count("\n") == 1 and err.startswith("error:") and "inf" not in err)
             if status not in (0, 2, 3) or not clean:
                 failed.append((argv, status, err[-200:]))
-        assert len(lines) > 80 and failed == []
+            # a line that a budget newly admits must still answer at once
+            if time.thread_time() - start > 2:
+                slow.append(" ".join(argv))
+        assert len(lines) > 80 and failed == [] and slow == []
 
     def test_exponents_past_2_64_named_by_bit_length(self, capsys):
         big = 10**2200
@@ -399,6 +402,17 @@ class TestCountAndProb:
     def test_count_length(self, capsys):
         _, out, _ = run_cli(capsys, ["count", "length", "--n", "2", "--q", "2", "--s", "2", "--ell", "2"])
         assert out.strip() == "7"
+
+    def test_deep_length_sums_are_lattice_counts(self, capsys):
+        # past s = ell the length-ell submodules of R^n are the index-q^ell
+        # sublattices of O^n, counted without chains
+        status, out, _ = run_cli(capsys, "count length --n 3 --q 2 --s 990 --ell 5 --format json".split())
+        assert status == 0 and json.loads(out)["result"]["count"] == str(sublattice_count(3, 5, 2)) == "2667"
+        status, out, _ = run_cli(capsys, "prob free-length --n 3 --q 2 --s 1100 --ell 1100 --format json".split())
+        result = json.loads(out)["result"]
+        expected = Fraction(count_free(3, ChainRingSpec(q=2, s=1100), 1), sublattice_count(3, 1100, 2))
+        assert status == 0 and Fraction(int(result["numerator"]), int(result["denominator"])) == expected
+        assert result["decimal"] == "0.656250"
 
     def test_prob_table2_cell(self, capsys):
         _, out, _ = run_cli(capsys, ["prob", "free-rank", "--n", "100", "--q", "2", "--s", "2", "--K", "50"])

@@ -3,14 +3,15 @@ import re
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _declared(*extras: str) -> set[str]:
     """Distribution names in the runtime dependencies and the given extras."""
-    tomllib = pytest.importorskip("tomllib")
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10, whose test extra installs tomli
+        import tomli as tomllib
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     requirements = list(project["dependencies"])
     for extra in extras:

@@ -20,9 +20,11 @@ from chainring.qseries import (
     q_multinomial,
 )
 
-from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial
+from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial, sublattice_count
 
 HALF = Fraction(1, 2)
+# the bases of test_every_depth_matches_chains
+BASES = [2, 3, HALF, Fraction(3, 2), Fraction(2, 3), 1, -1, -2, Fraction(-3, 2), Fraction(-1, 2), 0, Fraction(5, 3)]
 
 
 def rank_sum(n: int, base, s: int, k: int):
@@ -219,6 +221,29 @@ class TestQMultinomial:
                     expected = naive_chain_sum(n, base, s, range(k, k + 1), None)
                     assert gaussian_binomial(n, k, base) * tail == expected, (n, s, k)
 
+    @pytest.mark.parametrize("base", BASES)
+    def test_length_and_rank_sums_count_every_submodule(self, base):
+        # both sides sum over every chain, one by length through the Bailey sum
+        # at s >= 3, the other by rank through the walk
+        for n, s in ((0, 6), (1, 10), (9, 4), (25, 5), (20, 7), (30, 3), (30, 10)):
+            by_length = sum(q_multinomial(n, ell, s, base) for ell in range(n * s + 1))
+            assert by_length == sum(rank_sum(n, base, s, k) for k in range(n + 1)), (n, s)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_depth_stabilises(self, base, monkeypatch):
+        # past s = ell every further part is 0 and weighs 1, so the depth-ell
+        # chains are all of them; the budget prices the walk, cubic in s,
+        # and would refuse s = 10^4, which the sum itself reaches at once
+        monkeypatch.setattr(qseries, "TOTAL_BUDGET", math.inf)
+        for n in range(1, 5):
+            for ell in range(7):
+                expected = naive_chain_sum(n, base, max(ell, 1), range(n + 1), ell)
+                for s in {max(ell, 1), ell + 1, 2 * ell + 3, 990, 1100, 10**4}:
+                    assert q_multinomial(n, ell, s, base) == expected, (n, ell, s)
+        # and they are the submodules of index base^ell in O^n, counted without chains
+        for n, ell in ((12, 40), (30, 25), (3, 1100)):
+            assert q_multinomial(n, ell, ell + 1, base) == sublattice_count(n, ell, base), (n, ell)
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(0, 8),
@@ -280,16 +305,18 @@ class TestQMultinomial:
                 assert rank_sum(n, base, 2, k) == pascal[n][k] * row
 
     def test_short_chains_build_no_table(self, monkeypatch):
+        # no length sum builds the q-Pascal table, and no rank tail below s = 3
         built = []
         pascal = qseries._q_pascal
         monkeypatch.setattr(qseries, "_q_pascal", lambda rows, base: built.append(rows) or pascal(rows, base))
         for base in (2, Fraction(3, 2), 1, -1):
-            for s in (1, 2):
+            for s in (1, 2, 3, 6):
                 q_multinomial(20, 15, s, base)
+            for s in (1, 2):
                 rank_sum(20, base, s, 12)
         assert built == []
-        assert q_multinomial(6, 7, 3, 2) == naive_q_multinomial(6, 7, 3, 2)  # deeper sums keep the table
-        assert built == [6]
+        assert rank_sum(6, 2, 3, 4) == naive_chain_sum(6, 2, 3, range(4, 5), None)  # deeper rank tails keep the table
+        assert built == [4]
 
     @pytest.mark.parametrize("base", [2, Fraction(3, 2), Fraction(2, 3)])
     def test_oversized_sum_refused_before_work(self, base):
