@@ -273,7 +273,7 @@ class TestExitCodes:
     )
     def test_walk_past_recursion_limit_exits_3(self, capsys, argv, s):
         # the rank tail and the type walk nest one call per position; a length
-        # sum does not (test_deep_length_sums_are_lattice_counts)
+        # sum does not (TestCountAndProb.test_deep_count_length_is_a_lattice_count)
         status, out, err = run_cli(capsys, argv.split())
         assert (status, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and f"s={s} " in err
@@ -403,11 +403,13 @@ class TestCountAndProb:
         _, out, _ = run_cli(capsys, ["count", "length", "--n", "2", "--q", "2", "--s", "2", "--ell", "2"])
         assert out.strip() == "7"
 
-    def test_deep_length_sums_are_lattice_counts(self, capsys):
-        # past s = ell the length-ell submodules of R^n are the index-q^ell
-        # sublattices of O^n, counted without chains
+    # past s = ell the length-ell submodules of R^n are the index-q^ell
+    # sublattices of O^n, counted without chains
+    def test_deep_count_length_is_a_lattice_count(self, capsys):
         status, out, _ = run_cli(capsys, "count length --n 3 --q 2 --s 990 --ell 5 --format json".split())
         assert status == 0 and json.loads(out)["result"]["count"] == str(sublattice_count(3, 5, 2)) == "2667"
+
+    def test_deep_prob_free_length_is_a_lattice_ratio(self, capsys):
         status, out, _ = run_cli(capsys, "prob free-length --n 3 --q 2 --s 1100 --ell 1100 --format json".split())
         result = json.loads(out)["result"]
         expected = Fraction(count_free(3, ChainRingSpec(q=2, s=1100), 1), sublattice_count(3, 1100, 2))
