@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _charge, _charge_chain_sum, _count_cost, _exact_product, _rank_tail
+from .qseries import _charge, _charge_rank_tail, _count_cost, _exact_product, _rank_tail
 from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
@@ -301,8 +301,8 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     it (``qseries._rank_tail``).
     """
     _check_rank(n, rank)
-    tail = _rank_tail(n, ring.q, ring.s, rank)  # first, so that its budget checks come first
-    return gaussian_binomial(n, rank, ring.q) * tail
+    _charge_rank_tail(n, ring.q, ring.s, rank)  # first, so that the tail's budget checks come first
+    return gaussian_binomial(n, rank, ring.q) * _rank_tail(n, ring.q, ring.s, rank)
 
 
 def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:
@@ -329,7 +329,7 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     """
     _check_rank(n, rank)
     exponent = (n - rank) * rank * (ring.s - 1)
-    _charge_chain_sum(n, ring.q, ring.s, range(rank, rank + 1), None)  # the tail's charges,
+    _charge_rank_tail(n, ring.q, ring.s, rank)  # the tail's charges,
     _charge("exact count", _count_cost, ring.q, [(n, rank)], exponent)  # then count_free's, before the walk
     return Fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
 

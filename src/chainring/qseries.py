@@ -105,11 +105,9 @@ def euler_function(qinv: float, policy: TruncationPolicy | None = None) -> Appro
 
 
 # Upper limit on the a-priori cost, in bit operations, of one exact count,
-# chain sum, ball profile or decimal rendering; _charge is the one place that
-# compares a cost with it.  The totals in the tests, the published tables
-# and the benchmark stay below 2^34, length 400 in R^200 at q = 2, s = 4 costs
-# about 2^36.7 and takes seconds, and length 4500 in R^3000 at q = 2, s = 3,
-# whose q-Pascal table alone would not fit in memory, costs 2^46.4.
+# length sum, rank tail, ball profile or decimal rendering; _charge is the one
+# place that compares a cost with it.  Length 400 in R^200 at q = 2, s = 4
+# costs 2^31.0 and takes 32 ms; length 4500 in R^3000 at q = 2, s = 3, 2^45.8.
 TOTAL_BUDGET = 1 << 37
 
 
@@ -144,7 +142,12 @@ def _product_cost(bits, products: int = 1) -> float:
     return products * bits * (bits / 64 + 1) ** 0.585
 
 
-def _count_cost(base, binomials, exponent: int, factors: int = 0, unit: float | None = None) -> float:
+def _step_cost(bits, factor, divisor=0) -> float:
+    """Bit operations of a ``bits``-bit value times a ``factor``-bit one (Karatsuba on the larger), then divided by ``divisor`` bits (schoolbook)."""
+    return max(bits, factor) * (min(bits, factor) / 64 + 1) ** 0.585 + (bits * (divisor / 64 + 1) if divisor else 0)
+
+
+def _count_cost(base, binomials, exponent: int, factors: int = 0) -> float:
     """Bit operations of base^exponent times the Gaussian binomials [m, k] in ``binomials``, a priori.
 
     ``factors`` more factors join the product; the exponent counts their bits.
@@ -152,10 +155,9 @@ def _count_cost(base, binomials, exponent: int, factors: int = 0, unit: float | 
     below 4 base^(k (m - k)) by factors of at most m log2(base) bits, so a
     step costs the product's bits times the factor's 64-bit words.  Measured
     on one core, [2000, 1000]_2 estimates 2^35.9 and takes 1.3-2.6 s, and
-    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.  ``unit`` is
-    _unit_bits(base), when a caller charging many counts has it already.
+    3^e of 10^7 bits estimates 2^33.4 and takes 1 s.
     """
-    unit = _unit_bits(base) if unit is None else unit
+    unit = _unit_bits(base)
     bits = exponent * unit
     factors += 1 if exponent else 0
     cost = 0.0
@@ -214,16 +216,14 @@ def q_multinomial(n: int, ell: int, s: int, base):
     chain sum over n >= mu_1 >= ... >= mu_s with sum mu_i = ell; at a prime
     power base q it counts the length-ell submodules of R^n.  s = 1 is one
     ``gaussian_binomial``, s = 2 one diagonal (_diagonal_sum), and every
-    deeper sum the Bailey-chain alternating sum (_bailey_sum).  An integer
-    base gives an int, any other rational base a Fraction.  Every depth is
-    first charged as the chain walk over ceil(ell / s) <= mu_1 <= min(n, ell)
-    (_charge_chain_sum) and raises BudgetExceededError over TOTAL_BUDGET.
+    deeper sum the Bailey-chain alternating sum (_bailey_sum), each charging
+    its own work to TOTAL_BUDGET before it starts.  An integer base gives an
+    int, any other rational base a Fraction.
     """
     if s < 1:
         raise ParameterError("s must be >= 1")
     if ell < 0 or ell > n * s:
         raise ParameterError(f"ell must lie in [0, {n * s}], got {ell}")
-    _charge_chain_sum(n, base, s, range(-(-ell // s), min(n, ell) + 1), ell)
     if s == 1:
         return gaussian_binomial(n, ell, base)
     return _diagonal_sum(n, ell, base) if s == 2 else _bailey_sum(n, ell, s, base)
@@ -237,12 +237,13 @@ def _diagonal_sum(n: int, ell: int, base):
     T(mu) / T(mu - 1) = (b^(j+1) - 1)(b^(n-mu+1) - 1) / ((b^(mu-j-1) - 1)(b^(mu-j) - 1)),
     and the exponent of the power falls by n + ell + 1 - 2 mu from mu - 1 to
     mu, so the powers fold in by Horner.  At b = a/c in lowest terms the sum
-    runs on homogenised integers (see _chain_sum), the ratio with each
+    runs on homogenised integers (see _rank_tail), the ratio with each
     b^i - 1 read as a^i - c^i: T(mu) base^((n - mu) j) has the denominator
     c^(mu (n - mu) + j (n - j)), each term is padded to c^(2 P), P the
     largest mu (n - mu) over the parts, and the sum is one Fraction.  A base
     1 or -1, where the ratio would divide by zero, reads each T(mu).
     """
+    _charge(lambda: f"exact total at n={n}, s=2", _diagonal_cost, n, ell, base)
     a, c = base.as_integer_ratio()
     lo, hi = -(-ell // 2), min(n, ell)
     top = (peak := min(hi, n // 2)) * (n - peak)
@@ -265,6 +266,22 @@ def _diagonal_sum(n: int, ell: int, base):
         padded = term if c == 1 else term * c ** (2 * top - mu * (n - mu) - j * (n - j))
         total = total * a ** (n + ell + 1 - 2 * mu) + padded
     return total if c == 1 else Fraction(total, c ** (2 * top))
+
+
+def _diagonal_cost(n: int, ell: int, base) -> float:
+    """Bit operations of _diagonal_sum's hi - lo + 1 steps, a priori, charged twice; its first binomials charge themselves.
+
+    A step on values below 4 b^(2 P) builds factors of at most n + 2 units of
+    _unit_bits(base) bits, multiplies by two and the Horner power, divides by
+    two of at most 2 (2 hi - ell) units and pads by c^e, e <= 2 P.  At twice
+    these prices the costliest sums admitted take about 4 s on one core.
+    """
+    unit = _unit_bits(base)
+    lo, hi = -(-ell // 2), min(n, ell)
+    top = (peak := min(hi, n // 2)) * (n - peak)
+    bits, factor = 2 * top * unit + 2, (n + 2) * unit
+    step = _product_cost(factor, 2) + _step_cost(bits, factor, 2 * (2 * hi - ell) * unit) + _step_cost(bits, factor)
+    return 2 * (hi - lo + 1) * (step + _step_cost(bits, 2 * top * math.log2(base.as_integer_ratio()[1])))
 
 
 def _bailey_sum(n: int, ell: int, s: int, base):
@@ -298,6 +315,7 @@ def _bailey_sum(n: int, ell: int, s: int, base):
     and the sum is one Fraction(total, c^(n ell)).  At a base 1 or -1, where
     the ratio steps would divide by zero, each binomial is read directly.
     """
+    _charge(lambda: f"exact total at n={n}, s={s}", _bailey_cost, n, ell, s, base)
     a, c = base.as_integer_ratio()
     ell = min(ell, n * s - ell)
     top = ell // (s + 1)
@@ -325,6 +343,28 @@ def _bailey_sum(n: int, ell: int, s: int, base):
             term //= a**size - c**size
         total = term - a ** (n * s - ell + r + 1) * c ** (ell + r) * total if total else term
     return total if c == 1 else Fraction(total, c ** (n * ell))
+
+
+def _bailey_cost(n: int, ell: int, s: int, base) -> float:
+    """Bit operations of _bailey_sum's steps, a priori, charged four times.
+
+    In units of _unit_bits(base) bits, ell on the smaller side: heads
+    [n, 0..R] of at most R (n - R), factors b^i - 1 of n + ell, Horner powers
+    of n s + R, and every other value below n ell plus a head and a factor;
+    the walks at n <= s are priced as grouped steps of min(n, s + 1) factors.
+    CPython runs these lopsided products slower than their Karatsuba price:
+    at four times it the costliest sums admitted take about 5 s on one core.
+    """
+    unit, ell = _unit_bits(base), min(ell, n * s - ell)
+    top, group = ell // (s + 1), min(n, s + 1)
+    first = ell - (s + 1) * top or s + 1  # the first L > 0
+    factor, head, power = (n + ell) * unit + 1, top * (n - top) * unit + 1, (n * s + top) * unit
+    value = n * ell * unit + head + factor
+    heads = top * _step_cost(head, factor, top * unit)
+    fresh = min(first, n) * _step_cost(n * first * unit, factor, first * unit)
+    grouped = top * (_product_cost(factor, group * (group + 1) // 2) + _step_cost(value, group * factor, group * ell * unit))
+    terms = (top + 1) * (_product_cost(factor) + _step_cost(head, factor) + _step_cost(value, head + factor, ell * unit))
+    return 4 * (heads + fresh + grouped + terms + top * (_product_cost(power) + _step_cost(value, power)))
 
 
 def _unit_binomial(m: int, k: int, unit: int) -> int:
@@ -361,76 +401,36 @@ def _q_pascal(rows: int, base) -> list[list[int]]:
     return table
 
 
-def _total_cost(n: int, base, s: int, first: range, remaining: int | None) -> int:
-    """Bit operations of the chain walk over mu_1 in ``first``, a priori: (q-Pascal entries plus multiply-adds) times bits.
+def _total_cost(n: int, base, s: int, rank: int) -> int:
+    """Bit operations of the rank tail's walk below mu_1 = rank at s >= 2, a priori: (q-Pascal entries plus multiply-adds) times bits.
 
-    ``remaining`` is the length of a length sum, or None for a rank tail.
-    The walk takes one position at a time from position s up and reads a
-    q-Pascal table of the rows up to max(first); a state at a position with
-    t parts left reads at most prev + 1 - ceil(remaining / t) terms, over
-    remaining <= t prev, and a state of the last position under a length
-    constraint reads one.  The bits are those of the largest value the walk
-    builds, below 4^s (rows+1)^s b^E at an integer base b, where E bounds
-    sum_i mu_i (n - mu_i) over the chains, because [m, k]_b < 4 b^(k (m - k))
-    and there are at most (rows+1)^s chains.  A unit of E costs
-    _unit_bits(base) bits.  Only a rank tail at s >= 3 runs this walk; the
-    rank tail at s <= 2 and the length sums at every depth (one binomial,
-    one diagonal, or the Bailey sum of _bailey_sum) are charged as if they
-    ran it, so that no input moves between admitted and refused.
+    Row ``rank`` and s - 1 triangles, a q-Pascal table built once and read
+    at each of the positions 3..s (one at s = 2 all the same), times the
+    bits of 4^s (rank+1)^s b^E, E = rank (n - rank) + (s - 1) max mu (n - mu)
+    over mu <= rank, which bounds every value the walk builds.
     """
-    rows = first[-1]
-
-    def peak(lo: int, hi: int) -> int:  # max of mu (n - mu) over lo <= mu <= hi
-        mu = min(max(n // 2, lo), hi)
-        return mu * (n - mu)
-
-    triangle = (rows + 1) * (rows + 2) // 2
-    terms = triangle + (rows - first[0] + 1) * (rows + 1)
-    if remaining is None:  # positions 3..s read a triangle each
-        terms += max(s - 2, 0) * triangle
-    elif s >= 3:  # a triangle at t = 1 part left, then t triangle (rows + 3) / 3, exactly, at t = 2..s-2
-        terms += triangle + triangle * (rows + 3) // 3 * ((s - 2) * (s - 1) // 2 - 1)
-    exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
-    return terms * (math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length()))
+    triangle = (rank + 1) * (rank + 2) // 2
+    exponent = rank * (n - rank) + (s - 1) * (peak := min(rank, n // 2)) * (n - peak)
+    return ((s - 1) * triangle + rank + 1) * (math.ceil(exponent * _unit_bits(base)) + s * (2 + (rank + 1).bit_length()))
 
 
-def _charge_chain_sum(n: int, base, s: int, first: range, remaining: int | None):
-    """Charge the chain sum over mu_1 in ``first`` to the budget, before any big-integer work.
-
-    ``remaining`` is the length of a length sum (q_multinomial), or None for
-    a rank tail (_rank_tail).  First _total_cost, then each [n, mu], mu in
-    ``first`` below n, smallest first, so that a long thin sum is refused
-    on the first binomial over budget.
-    """
-    _charge(lambda: f"exact total at n={n}, s={s}", _total_cost, n, base, s, first, remaining)
-    if first[-1] < n:
-        unit = _unit_bits(base)
-        for mu in first:
-            _charge("exact count", _count_cost, base, [(n, mu)], 0, 0, unit)
+def _charge_rank_tail(n: int, base, s: int, rank: int):
+    """Charge the rank tail's walk below mu_1 = rank (none at s = 1, where T = 1), then the [n, rank] of the rank total."""
+    if s >= 2:
+        _charge(lambda: f"exact total at n={n}, s={s}", _total_cost, n, base, s, rank)
+    _charge("exact count", _count_cost, base, [(n, rank)], 0)
 
 
 def _rank_tail(n: int, base, s: int, rank: int):
     """The rank tail T below mu_1 = rank: [n, rank] T is the rank sum.
 
-    T sums over rank >= mu_2 >= ... >= mu_s >= 0 the weights
-    prod_{i>=2} [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), the chain sum
-    of _chain_sum with mu_1 = rank, walked from the second position.  At an
-    integer base q and rank < n every chain but the all-zero one carries
-    q^((n - rank) mu_2), so T = 1 mod q.
-    """
-    return _chain_sum(n, base, s, rank)
-
-
-def _chain_sum(n: int, base, s: int, rank: int):
-    """Charge the rank tail below mu_1 = rank to the budget and walk it.
-
     A chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 is weighted by
     prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), which at a prime
     power base counts the submodules of that shape; the rank tail is the
-    sum over the chains with mu_1 = rank of the factors from i = 2 on.  It
-    is charged first (_charge_chain_sum) as the chain sum over mu_1 = rank:
-    it reads no [n, rank], but that charge bounds the gcd in
-    free_fraction_by_rank's Fraction(q^e, T).
+    sum over the chains with mu_1 = rank of the factors from i = 2 on.  At
+    an integer base q and rank < n every chain but the all-zero one carries
+    q^((n - rank) mu_2), so T = 1 mod q.  Its callers charge it first
+    (_charge_rank_tail).
 
     The walk takes one whole position at a time, from position s up to
     position 2, and keeps only the position below: for each part prev
@@ -451,7 +451,6 @@ def _chain_sum(n: int, base, s: int, rank: int):
     The walk nests one call per position, so a depth s past Python's
     recursion limit raises BudgetExceededError.
     """
-    _charge_chain_sum(n, base, s, range(rank, rank + 1), None)
     a, c = base.as_integer_ratio()
     top = (peak := min(rank, n // 2)) * (n - peak)
     pascal = _q_pascal(rank, base) if s >= 3 else None

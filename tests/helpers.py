@@ -327,20 +327,18 @@ def decimal_length(value: int) -> int:
         return int(mpmath.floor(mpmath.log10(mpmath.mpf(value)))) + 1
 
 
-def loop_total_estimate(n: int, base, s: int, first: range, remaining) -> int:
-    """The a-priori chain-sum cost of ``qseries._total_cost``, one loop step per position."""
+def loop_total_estimate(n: int, base, s: int, rank: int) -> int:
+    """The a-priori rank-tail walk cost of ``qseries._total_cost``, one loop step per position."""
     from chainring.qseries import _unit_bits
-
-    rows = first[-1]
 
     def peak(lo: int, hi: int) -> int:
         mu = min(max(n // 2, lo), hi)
         return mu * (n - mu)
 
-    triangle = (rows + 1) * (rows + 2) // 2
-    terms = triangle + len(first) * (rows + 1)
-    for t in range(1, s - 1):  # positions 3..s
-        terms += triangle if remaining is None or t == 1 else t * triangle * (rows + 3) // 3
-    exponent = peak(first[0], rows) + (s - 1) * peak(0, rows)
-    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rows + 1).bit_length())
+    triangle = (rank + 1) * (rank + 2) // 2
+    terms = triangle + rank + 1
+    for _ in range(3, s + 1):  # positions 3..s
+        terms += triangle
+    exponent = peak(rank, rank) + (s - 1) * peak(0, rank)
+    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rank + 1).bit_length())
     return terms * bits

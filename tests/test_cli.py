@@ -391,6 +391,41 @@ class TestExtremeIntOptions:
         assert err == "error: exact count needs more than 2^1024 bit operations, over the budget of 1.4e+11\n"
 
 
+class TestExtremeFloatAndStringOptions:
+    # the float and string options at values past the float range, malformed,
+    # or huge: every line exits 0-3 with no traceback and answers at once
+    FLAGS = {"--type", "--shape", "--n-list", "--w", "--d", "--rprime", "--delta", "--eps"}
+    VALUES = {
+        "1e308": "1e308", "1e309": "1e309", "inf": "inf", "-inf": "-inf", "nan": "nan", "-0.0": "-0.0",
+        "1e-320": "1e-320", "-1": "-1", "0": "0", "5000-digits": "7" * 5000, "1/0": "1/0", "0/0": "0/0",
+        "1/5000-nines": "1/" + "9" * 5000, "comma": ",", "1,,2": "1,,2", "empty": "",
+        "2001-entries": ",".join(["1"] * 2001), "0x10": "0x10",
+    }
+
+    @pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+    def test_every_pinned_line_exits_cleanly(self, capsys, monkeypatch, value):
+        monkeypatch.delenv("CHAINRING_MAX_INDEX", raising=False)
+        monkeypatch.delenv("CHAINRING_TARGET_TAIL", raising=False)
+        lines = []
+        for command, pinned in SURFACE["json"].items():
+            argv = [*command.split(), *pinned["argv"]]
+            lines += [(flag, [*argv[: i + 1], value, *argv[i + 2 :]]) for i, flag in enumerate(argv) if flag in self.FLAGS]
+        failed, slow = [], []
+        for flag, argv in lines:
+            start = time.thread_time()
+            status, out, err = _outcome(capsys, cli.run, argv)
+            # chainring's own refusal is one error: line; argparse's, for a value
+            # its type rejects or one that starts with "-" and reads as an option,
+            # ends its usage text with one line naming the flag
+            own = status in (2, 3) and err.count("\n") == 1 and err.startswith("error:")
+            usage = status == 2 and err.startswith("usage: ") and f": error: argument {flag}: " in err.splitlines()[-1]
+            if not (status == 0 or out == "" and (own or usage)) or "Traceback" in err:
+                failed.append((argv[:2], flag, status, err[-200:]))
+            if time.thread_time() - start > 2:
+                slow.append((argv[:2], flag))
+        assert len(lines) == 10 and failed == [] and slow == []
+
+
 class TestCountAndProb:
     def test_count_type_example(self, capsys):
         status, out, _ = run_cli(
@@ -408,6 +443,26 @@ class TestCountAndProb:
     def test_deep_count_length_is_a_lattice_count(self, capsys):
         status, out, _ = run_cli(capsys, "count length --n 3 --q 2 --s 990 --ell 5 --format json".split())
         assert status == 0 and json.loads(out)["result"]["count"] == str(sublattice_count(3, 5, 2)) == "2667"
+
+    # inputs that each kernel's own charge admits, where the chain-walk price
+    # refused them: a thin binomial at s = 1, one binomial deep down
+    @pytest.mark.parametrize(
+        "argv", ["count length --n 10000 --q 2 --s 1 --ell 9999", "count rank --n 10000 --q 2 --s 1 --K 9999"]
+    )
+    def test_thin_depth_one_totals_admitted(self, capsys, argv):
+        assert run_cli(capsys, argv.split()) == (0, f"{2**10000 - 1}\n", "")
+        assert run_cli(capsys, "count free --n 10000 --q 2 --s 1 --K 9999".split()) == (0, f"{2**10000 - 1}\n", "")
+
+    @pytest.mark.parametrize(
+        "argv", ["prob free-length --n 10000 --q 2 --s 1 --ell 9999", "prob free-rank --n 10000 --q 2 --s 1 --K 9999"]
+    )
+    def test_thin_depth_one_fractions_admitted(self, capsys, argv):
+        assert run_cli(capsys, argv.split()) == (0, "1/1 = 1.000000\n", "")
+
+    def test_deep_count_length_past_the_walk_price(self, capsys):
+        # the index-2^5 sublattices of Z_2^3, and [7, 2]_2 = 127 * 63 / 3
+        assert run_cli(capsys, "count length --n 3 --q 2 --s 1300 --ell 5".split()) == (0, "2667\n", "")
+        assert sublattice_count(3, 5, 2) == 127 * 63 // 3 == 2667
 
     def test_deep_prob_free_length_is_a_lattice_ratio(self, capsys):
         status, out, _ = run_cli(capsys, "prob free-length --n 3 --q 2 --s 1100 --ell 1100 --format json".split())

@@ -31,6 +31,7 @@ from chainring.qseries import _rank_tail, gaussian_binomial, pochhammer_finite
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
 from helpers import naive_chain_sum
+from test_exact_pins import _spied_costs
 
 Z4 = ChainRingSpec(q=2, s=2)
 
@@ -304,11 +305,11 @@ class TestTotalBudget:
         assert peak < 8 << 20
 
     def test_depth_two_total_keeps_binomial_refusals(self):
-        # [30000, 100]_2 alone is over the count budget though the chain sum is
-        # not; the sum reads no such binomial now, but still refuses, at once
+        # the diagonal's own charge admits this sum, but [30000, 75]_2, which
+        # its first term reads, is over the count budget: refused at once
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match="exact count needs"):
-            total_by_length(30000, ChainRingSpec(q=2, s=2), 100)
+            total_by_length(30000, ChainRingSpec(q=2, s=2), 150)
         assert time.perf_counter() - start < 1
 
     def test_long_thin_total_within_budget(self):
@@ -379,17 +380,21 @@ RANK_REFUSALS = [
     (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd
 ]
 # (n, q, s, ell, refusal of total_by_length, refusal of free_fraction_by_length),
-# None where admitted, one case per refusal of the length sum: its budget,
-# then each [n, mu] of its first part.  The sum nests no call per part, so
-# s = 1100 is admitted (its value is checked in test_cli).  A fraction is
-# refused as its total is, before count_free's charge.
+# None where admitted, one case per refusal of the length sum: the kernel's
+# own charge, then at s = 2 the binomial [n, ceil(ell / 2)] of its first
+# term.  The sum nests no call per part, so s = 1100 is admitted (its value
+# is checked in test_cli), and so is s = 1 with ell = n - 1, one thin
+# binomial.  A fraction is refused as its total is, before count_free's
+# charge.
 LENGTH_REFUSALS = [
-    (29000, 2, 2, 100, *["exact count needs about 1.4e+11 bit operations" + _OVER3] * 2),
-    (30000, 2, 2, 100, *["exact count needs about 1.38e+11 bit operations" + _OVER3] * 2),
-    (3000, 2, 3, 4500, *["exact total at n=3000, s=3 needs about 9.1e+13 bit operations" + _OVER] * 2),
+    (30000, 2, 2, 150, *["exact count needs about 1.6e+11 bit operations" + _OVER] * 2),
+    (30000, 3, 2, 100, *["exact count needs about 1.8e+11 bit operations" + _OVER] * 2),
+    (30000, 2, 2, 200, *["exact total at n=30000, s=2 needs about 2e+11 bit operations" + _OVER] * 2),
+    (3000, 2, 3, 4500, *["exact total at n=3000, s=3 needs about 6e+13 bit operations" + _OVER] * 2),
     (3, 2, 1100, 1100, None, None),
     (5000, 2, 3, 30, None, None),
     (2000, 2, 2, 200, None, None),
+    (10000, 2, 1, 9999, None, None),
 ]
 
 
@@ -479,6 +484,11 @@ class TestFreeFractions:
             free_fraction_by_rank(2000000, ChainRingSpec(q=2, s=20), 1)
         assert str(info.value) == "exact count needs about 3.2e+11 bit operations" + _OVER
         assert time.perf_counter() - start < 0.5
+
+    def test_by_rank_charges_each_cost_once(self, monkeypatch):
+        # the tail's walk and [n, K], then count_free's product, then the walk
+        call = lambda: free_fraction_by_rank(150, ChainRingSpec(q=2, s=3), 75)  # noqa: E731
+        assert len(_spied_costs(monkeypatch, call)) == 3
 
     @pytest.mark.parametrize(
         "n,q,s,ell,total_refusal,fraction_refusal",

@@ -21,6 +21,7 @@ from chainring.qseries import (
 )
 
 from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial, sublattice_count
+from test_exact_pins import _spied_costs
 
 HALF = Fraction(1, 2)
 # the bases of test_every_depth_matches_chains
@@ -325,6 +326,22 @@ class TestQMultinomial:
             q_multinomial(3000, 4500, 3, base)
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("base", BASES)
+    def test_bailey_sum_matches_the_shallow_kernels(self, base):
+        # the Bailey sum holds at every depth, so at s = 1 and s = 2 it is a
+        # second algorithm for the binomial and for the diagonal
+        for n in range(31):
+            for ell in range(2 * n + 1):
+                if ell <= n:
+                    assert qseries._bailey_sum(n, ell, 1, base) == gaussian_binomial(n, ell, base), (n, ell)
+                assert qseries._bailey_sum(n, ell, 2, base) == qseries._diagonal_sum(n, ell, base), (n, ell)
+
+    def test_each_kernel_charges_once(self, monkeypatch):
+        # q_multinomial makes no charge of its own: the Bailey sum makes one,
+        # the diagonal one before the two binomials of its first term
+        assert len(_spied_costs(monkeypatch, lambda: q_multinomial(200, 100, 3, 2))) == 1
+        assert len(_spied_costs(monkeypatch, lambda: q_multinomial(2000, 200, 2, 2))) == 3
+
 
 def test_costs_past_the_float_range_refused():
     message = r"^exact (total at n=10{400}, s=2|count) needs more than 2\^1024 bit operations, over the budget of 1\.4e\+11$"
@@ -337,16 +354,13 @@ def test_costs_past_the_float_range_refused():
 
 
 def test_total_estimate_equals_loop():
-    # the closed form is the loop's integer: (rows+1)(rows+2)(rows+3)/2 is a
-    # multiple of 3, so every floor division in the loop is exact
+    # the closed form is the loop's integer: one triangle per position from 3 up
     for base in (2, 3, Fraction(3, 2), Fraction(1, 3)):
-        for s in range(1, 40):
-            for rows in range(60):
-                for n, first in ((rows, range(rows, rows + 1)), (2 * rows + 3, range(rows // 2, rows + 1))):
-                    for remaining in (None, rows):
-                        cost = qseries._total_cost(n, base, s, first, remaining)
-                        expected = loop_total_estimate(n, base, s, first, remaining)
-                        assert cost == expected, (base, s, rows, n, remaining)
+        for s in range(2, 40):
+            for rank in range(60):
+                for n in (rank, 2 * rank + 3):
+                    cost = qseries._total_cost(n, base, s, rank)
+                    assert cost == loop_total_estimate(n, base, s, rank), (base, s, rank, n)
 
 
 class TestBalancedMultinomial:
