@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _charge, _charge_rank_tail, _count_cost, _exact_product, _rank_tail
+from .qseries import _charge, _charge_rank_tail, _coprime_fraction, _count_cost, _exact_product, _rank_tail
 from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
@@ -306,11 +306,22 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
 
 
 def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:
-    """Exact probability that a uniformly random length-ell submodule is free."""
+    """Exact probability that a uniformly random length-ell submodule is free.
+
+    count_free / total_by_length, with the one gcd on smaller numbers.
+    count_free is q^((n - K) K (s - 1)) [n, K]_q with K = ell / s, and the
+    total N_s(n, ell) is 1 mod q: exactly one chain, (n, ..., n, r, 0, ...),
+    carries no power of q, and it weighs [n, r]_q, which like every [m, k]_q
+    is 1 mod q.  So the power of q is coprime to the total, and the gcd of
+    count and total is that of [n, K]_q, read from the cache count_free
+    filled, and the total.
+    """
     if ell % ring.s != 0:
         raise ParameterError(f"free modules need s | ell; {ring.s} does not divide {ell}")
     total = total_by_length(n, ring, ell)  # first, so that its budget check comes first
-    return Fraction(count_free(n, ring, ell // ring.s), total)
+    free = count_free(n, ring, ell // ring.s)
+    common = math.gcd(gaussian_binomial(n, ell // ring.s, ring.q), total)
+    return _coprime_fraction(free // common, total // common)
 
 
 def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
@@ -321,17 +332,18 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     (``qseries._rank_tail``), so the fraction is q^((n - K) K (s - 1)) / T
     and [n, K]_q is never built.  That quotient is in lowest terms: for
     K < n every chain in T but the all-zero one carries a power of q, so
-    T = 1 mod q shares no prime with q; for K = n the numerator is 1.  It is
+    T = 1 mod q shares no prime with q; for K = n the numerator is 1.  So
+    its parts become the Fraction as they are, and no gcd runs.  It is
     charged as count_free / total_by_rank, but before T is walked: the
-    total's budget checks, then count_free's.  Their [n, K]_q charges bound
-    the gcd inside Fraction(q^e, T), quadratic in T's bits: without them
-    (10^7, 2, 2, 3), refused at once, would take minutes.
+    total's budget checks, then count_free's.  Their [n, K]_q charges price
+    nothing this function builds; they are kept so that no input moves
+    between admitted and refused.
     """
     _check_rank(n, rank)
     exponent = (n - rank) * rank * (ring.s - 1)
     _charge_rank_tail(n, ring.q, ring.s, rank)  # the tail's charges,
     _charge("exact count", _count_cost, ring.q, [(n, rank)], exponent)  # then count_free's, before the walk
-    return Fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
+    return _coprime_fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
 
 
 def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> int:
@@ -366,5 +378,5 @@ def unimodular_probability(k: int, n: int, ring: ChainRingSpec) -> Fraction:
     _check_nonnegative(n=n, k=k)
     if k > n:
         raise ParameterError(f"need k <= n, got k={k} > n={n}")
-    # (1/q)_n / (1/q)_{n-k} = prod_{n-k<i<=n} (q^i - 1) / q^i
-    return Fraction(_exact_product(ring.q, [], 0, [(n - k, n)]), ring.q ** (k * (2 * n - k + 1) // 2))
+    # (1/q)_n / (1/q)_{n-k} = prod_{n-k<i<=n} (q^i - 1) / q^i, and every q^i - 1 is coprime to q
+    return _coprime_fraction(_exact_product(ring.q, [], 0, [(n - k, n)]), ring.q ** (k * (2 * n - k + 1) // 2))

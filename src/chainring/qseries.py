@@ -11,6 +11,7 @@ k in {0, n}; the empty Pochhammer product is 1.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -44,7 +45,31 @@ def gaussian_binomial(n: int, k: int, base):
         # each partial product is c^(i (n-k)) [n-k+i, i]_{a/c}, an integer, so
         # the division is exact at every step
         result = result * (a ** (n - k + i) - c ** (n - k + i)) // (a ** i - c ** i)
-    return result if c == 1 else Fraction(result, c ** (k * (n - k)))
+    # every prime of c divides each a^i - c^i to leave a^i, so result = a^(k (n-k)) mod it: coprime to c
+    return result if c == 1 else _coprime_fraction(result, c ** (k * (n - k)))
+
+
+class _LowestTerms:
+    """A numerator and a positive denominator already known to be coprime.
+
+    Registered as a ``numbers.Rational``, whose parts are in lowest terms by
+    that ABC's contract, so ``Fraction(_LowestTerms(a, b))`` copies them and
+    runs no gcd.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_LowestTerms)
+
+
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """Fraction(numerator, denominator) for parts the caller has proven coprime, denominator > 0, without the gcd."""
+    return Fraction(_LowestTerms(numerator, denominator))
 
 
 def pochhammer_finite(a, q, r: int) -> Fraction:
@@ -194,16 +219,26 @@ def _exact_product(base, binomials, exponent: int, spans=()):
     return result
 
 
+# Twice CPython's Karatsuba cutoff of 70 30-bit digits: integers of fewer
+# bits in all multiply schoolbook in any order, at the same cost.
+_SCHOOLBOOK_BITS = 2 * 70 * 30
+
+
 def _tree_product(factors: list):
     """Product of ``factors``, joined pairwise level by level in a balanced tree.
 
     Each product then has two operands of about equal size, where Karatsuba
     pays; one factor at a time would multiply a growing product by one small
-    factor after another.
+    factor after another.  Three factors, or integers of fewer than
+    _SCHOOLBOOK_BITS bits between them, gain nothing from the tree and are
+    joined in order.
     """
-    while len(factors) > 1:
-        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
+    if len(factors) <= 3 or type(factors[0]) is int and sum(map(int.bit_length, factors)) < _SCHOOLBOOK_BITS:
+        return math.prod(factors)
+    while len(factors) > 3:
+        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[-1:] if len(factors) % 2 else pairs
+    return math.prod(factors)
 
 
 def q_multinomial(n: int, ell: int, s: int, base):
@@ -306,14 +341,15 @@ def _bailey_sum(n: int, ell: int, s: int, base):
     in by Horner: the exponent grows by n s - ell + r + 1 from r to r + 1.
     [n, 0..R] are walked once by _binomial_row, and so is [n + L - 1, n] at
     the first L > 0; from r to r - 1 it takes one grouped step of s + 1
-    factors, a product of the small factors, then one multiplication and
-    one exact division of the large value, or, when n <= s, a fresh walk
-    of n ratio steps, which costs less.  At b = a/c in lowest terms every
-    step runs on homogenised integers [m, k]_h = c^(k (m-k)) [m, k], each
-    b^i - 1 read as a^i - c^i: term r has the denominator
-    c^(n ell - r ell - r (r - 1) / 2), so a Horner step brings c^(ell + r),
-    and the sum is one Fraction(total, c^(n ell)).  At a base 1 or -1, where
-    the ratio steps would divide by zero, each binomial is read directly.
+    factors, each side's factors built by _power_differences and joined by
+    _tree_product, then one multiplication and one exact division of the
+    large value, or, when n <= s, a fresh walk of n ratio steps, which costs
+    less.  At b = a/c in lowest terms every step runs on homogenised
+    integers [m, k]_h = c^(k (m-k)) [m, k], each b^i - 1 read as a^i - c^i:
+    term r has the denominator c^(n ell - r ell - r (r - 1) / 2), so a
+    Horner step brings c^(ell + r), and the sum is one
+    Fraction(total, c^(n ell)).  At a base 1 or -1, where the ratio steps
+    would divide by zero, each binomial is read directly.
     """
     _charge(lambda: f"exact total at n={n}, s={s}", _bailey_cost, n, ell, s, base)
     a, c = base.as_integer_ratio()
@@ -337,8 +373,8 @@ def _bailey_sum(n: int, ell: int, s: int, base):
             if below is None or n <= s:  # then n ratio steps cost less than a step of s + 1 factors
                 below = next(islice(_binomial_row(m - 1, a, c), min(size - 1, n), None))
             else:
-                below *= math.prod(a**i - c**i for i in range(m - s - 1, m))
-                below //= math.prod(a**i - c**i for i in range(size - s - 1, size))
+                below *= _tree_product(_power_differences(a, c, m - s - 1, m))
+                below //= _tree_product(_power_differences(a, c, size - s - 1, size))
             term = heads[r] * (a**m - c**m - a ** (n - r) * c**r * (a**size - c**size)) * below
             term //= a**size - c**size
         total = term - a ** (n * s - ell + r + 1) * c ** (ell + r) * total if total else term
@@ -365,6 +401,17 @@ def _bailey_cost(n: int, ell: int, s: int, base) -> float:
     grouped = top * (_product_cost(factor, group * (group + 1) // 2) + _step_cost(value, group * factor, group * ell * unit))
     terms = (top + 1) * (_product_cost(factor) + _step_cost(head, factor) + _step_cost(value, head + factor, ell * unit))
     return 4 * (heads + fresh + grouped + terms + top * (_product_cost(power) + _step_cost(value, power)))
+
+
+def _power_differences(a: int, c: int, lo: int, hi: int) -> list[int]:
+    """The factors a^i - c^i for lo <= i < hi, each power one small multiplication from the last."""
+    x, y = a**lo, c**lo
+    factors = []
+    for _ in range(lo, hi):
+        factors.append(x - y)
+        x *= a
+        y *= c
+    return factors
 
 
 def _unit_binomial(m: int, k: int, unit: int) -> int:

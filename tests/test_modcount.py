@@ -6,6 +6,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainring import modcount, qseries
 from chainring.errors import BudgetExceededError, ParameterError
@@ -27,7 +29,7 @@ from chainring.modcount import (
     types_of_length,
     unimodular_probability,
 )
-from chainring.qseries import _rank_tail, gaussian_binomial, pochhammer_finite
+from chainring.qseries import _rank_tail, gaussian_binomial, pochhammer_finite, q_multinomial
 from chainring.render import render_ratio
 from chainring.simulate import ConcreteRing, enumerate_submodules, is_rect_unimodular, ring_matrix
 from helpers import naive_chain_sum
@@ -365,7 +367,8 @@ RANK_REFUSALS = [
     (10**7, 2, 2, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
     (690000, 2, 2, 3, None, "exact count needs about 1.39e+11 bit operations" + _OVER3),
     (700000, 2, 2, 3, *["exact count needs about 1.38e+11 bit operations" + _OVER3] * 2),
-    # with the budget lifted, the gcd inside Fraction(q^e, T) alone takes 12.7 s here
+    # refused by the [n, K] charges alone: with the budget lifted the fraction,
+    # which builds no [n, K] and runs no gcd, takes about 0.02 s here
     (1360000, 2, 2, 3, *["exact count needs about 5.2e+11 bit operations" + _OVER] * 2),
     (
         40000,
@@ -377,7 +380,7 @@ RANK_REFUSALS = [
     ),
     (100000, 2, 1, 3, None, None),
     (100000, 2, 2, 3, None, None),
-    (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd
+    (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd, the new one runs none
 ]
 # (n, q, s, ell, refusal of total_by_length, refusal of free_fraction_by_length),
 # None where admitted, one case per refusal of the length sum: the kernel's
@@ -419,7 +422,9 @@ class TestFreeFractions:
 
     def test_by_rank_is_the_old_quotient_in_lowest_terms(self):
         # the old quotient count_free / total_by_rank, with the total summed
-        # chain by chain; the new one is q^e / T, and T = 1 mod q below n
+        # chain by chain; the new one is q^e / T, and T = 1 mod q below n.
+        # Every length sum is 1 mod q too, which free_fraction_by_length's
+        # one gcd on [n, K]_q rests on
         for q in (2, 3, 4, 5, 7, 9):
             for s in range(1, 5):
                 ring = ChainRingSpec(q=q, s=s)
@@ -431,6 +436,48 @@ class TestFreeFractions:
                         assert value.numerator == q ** ((n - k) * k * (s - 1)), (q, s, n, k)
                         if k < n:
                             assert _rank_tail(n, q, s, k) % q == 1, (q, s, n, k)
+                    for ell in range(n * s + 1):
+                        assert q_multinomial(n, ell, s, q) % q == 1, (q, s, n, ell)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+        s=st.integers(1, 6),
+        n=st.integers(0, 30),
+        share=st.fractions(min_value=0, max_value=1),
+    )
+    def test_fractions_are_the_old_quotients_in_lowest_terms(self, q, s, n, share):
+        # the three fractions take parts proven coprime as they are; a part
+        # left with a common factor would break equality and hashing
+        ring = ChainRingSpec(q=q, s=s)
+        k = int(share * n)
+        span = math.prod(q**i - 1 for i in range(n - k + 1, n + 1))
+        pairs = [
+            (free_fraction_by_rank(n, ring, k), Fraction(count_free(n, ring, k), total_by_rank(n, ring, k))),
+            (free_fraction_by_length(n, ring, k * s), Fraction(count_free(n, ring, k), total_by_length(n, ring, k * s))),
+            (unimodular_probability(k, n, ring), Fraction(span, q ** (k * (2 * n - k + 1) // 2))),
+        ]
+        for value, old in pairs:
+            assert value.denominator > 0 and math.gcd(value.numerator, value.denominator) == 1
+            assert (value.numerator, value.denominator) == (old.numerator, old.denominator)
+            assert value == old and hash(value) == hash(old)
+
+    def test_gcd_runs_only_where_the_parts_can_share_a_factor(self, monkeypatch):
+        # the rank fraction and the unimodular probability are in lowest terms
+        # by construction; the length fraction runs one gcd, on [n, K]_q and
+        # the total, not on count_free and the total
+        gcd = math.gcd
+        calls = []
+        monkeypatch.setattr(math, "gcd", lambda *args: calls.append(args) or gcd(*args))
+        large = lambda: [args for args in calls if min(map(abs, args)) > 2**64]  # noqa: E731
+        assert free_fraction_by_rank(300, Z4, 100).denominator > 2**64
+        assert unimodular_probability(100, 200, Z4).denominator > 2**64
+        assert [[x.bit_length() for x in args] for args in large()] == []
+        ring = ChainRingSpec(q=3, s=2)
+        assert free_fraction_by_length(240, ring, 280).denominator > 2**64
+        [args] = large()
+        binomial = gaussian_binomial(240, 140, 3)
+        assert any(x == binomial for x in args)
 
     @pytest.mark.parametrize("p,s,n", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (2, 1, 4)])
     def test_by_rank_matches_the_census(self, p, s, n):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -53,6 +54,23 @@ class TestGaussianBinomial:
         with pytest.raises(ParameterError):
             gaussian_binomial(-1, 0, 2)
 
+    @pytest.mark.parametrize("base", BASES)
+    def test_lowest_terms_at_every_base(self, base):
+        # at a/c the loop's integer c^(k (n-k)) [n, k] is a^(k (n-k)) modulo
+        # every prime of c, so it is coprime to c^(k (n-k)) and the Fraction
+        # takes both parts as they are; the reference is the q-Pascal rule in
+        # Fraction arithmetic
+        c = base.as_integer_ratio()[1]
+        row = []
+        for n in range(12):
+            row = [Fraction(1)] + [row[k - 1] + Fraction(base) ** k * row[k] for k in range(1, n)] + [Fraction(1)] * (n > 0)
+            for k, expected in enumerate(row):
+                value = gaussian_binomial(n, k, base)
+                assert value == expected and hash(value) == hash(expected), (n, k)
+                if c > 1:
+                    assert math.gcd(value.numerator, value.denominator) == 1, (n, k)
+                    assert value.denominator == c ** (k * (n - k)), (n, k)
+
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_symmetry(self, q):
         for n in range(13):
@@ -91,6 +109,20 @@ class TestExactProduct:
                 expected *= base ** i - 1
         assert _exact_product(base, binomials, 5, spans) == expected
         assert _exact_product(base, [], 0) == 1
+
+
+class TestTreeProduct:
+    def test_every_length_and_size(self):
+        # short or small lists are joined in order, long large ones pairwise
+        for bits in (5, 300, 3000):
+            factors = [(-1) ** i * ((1 << bits + i) - 3) for i in range(40)]
+            for k in range(41):
+                assert qseries._tree_product(factors[:k]) == math.prod(factors[:k]), (bits, k)
+
+    def test_power_differences(self):
+        for a, c in ((2, 1), (3, 2), (-3, 2), (1, 5)):
+            assert qseries._power_differences(a, c, 4, 9) == [a**i - c**i for i in range(4, 9)]
+        assert qseries._power_differences(2, 1, 3, 3) == []
 
 
 class TestPochhammer:
@@ -335,6 +367,20 @@ class TestQMultinomial:
                 if ell <= n:
                     assert qseries._bailey_sum(n, ell, 1, base) == gaussian_binomial(n, ell, base), (n, ell)
                 assert qseries._bailey_sum(n, ell, 2, base) == qseries._diagonal_sum(n, ell, base), (n, ell)
+
+    def test_grouped_steps_past_schoolbook_size(self, monkeypatch):
+        # these Bailey sums' grouped steps join s + 1 factors of more than
+        # _SCHOOLBOOK_BITS between them in a product tree; the digests (first
+        # 16 hex digits of sha256(format(value, "x"))) were recorded when the
+        # factors were joined one at a time
+        joined = []
+        tree = qseries._tree_product
+        monkeypatch.setattr(qseries, "_tree_product", lambda factors: joined.append(sum(map(int.bit_length, factors))) or tree(factors))
+        for n, ell, s, base, digest in ((200, 600, 6, 3, "018da4e79716c0a5"), (120, 480, 8, 2, "473093f075acd868")):
+            joined.clear()
+            value = q_multinomial(n, ell, s, base)
+            assert hashlib.sha256(format(value, "x").encode()).hexdigest()[:16] == digest, (n, ell, s, base)
+            assert max(joined) >= qseries._SCHOOLBOOK_BITS
 
     def test_each_kernel_charges_once(self, monkeypatch):
         # q_multinomial makes no charge of its own: the Bailey sum makes one,
