@@ -319,8 +319,9 @@ def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:
     if ell % ring.s != 0:
         raise ParameterError(f"free modules need s | ell; {ring.s} does not divide {ell}")
     total = total_by_length(n, ring, ell)  # first, so that its budget check comes first
-    free = count_free(n, ring, ell // ring.s)
-    common = math.gcd(gaussian_binomial(n, ell // ring.s, ring.q), total)
+    rank = ell // ring.s
+    free = count_free(n, ring, rank)
+    common = math.gcd(gaussian_binomial(n, rank, ring.q), total)
     return _coprime_fraction(free // common, total // common)
 
 
