@@ -8,8 +8,8 @@ k_i cyclic summands of length s - i + 1; the conjugate partition
 sum(k_i (s - i + 1)) = log_q of the module size.
 
 All counts are exact integers and all finite probabilities exact fractions;
-nothing here rounds.  Every count and total is charged to
-``qseries.TOTAL_BUDGET`` before any big-integer work, and over it raises
+nothing here rounds.  Every count and every part of a total is charged
+to ``qseries.TOTAL_BUDGET`` before its big-integer work, and over it raises
 BudgetExceededError.
 """
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _charge, _charge_rank_tail, _coprime_fraction, _count_cost, _exact_product, _rank_tail
+from .qseries import _coprime_fraction, _exact_product, _rank_tail
 from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
@@ -298,10 +298,9 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     """Number of submodules of R^n of the given rank (all types combined).
 
     Rank is mu_1, so the total is [n, rank]_q times the chain sum T below
-    it (``qseries._rank_tail``).
+    it (``qseries._rank_tail``); each charges itself, [n, rank]_q first.
     """
     _check_rank(n, rank)
-    _charge_rank_tail(n, ring.q, ring.s, rank)  # first, so that the tail's budget checks come first
     return gaussian_binomial(n, rank, ring.q) * _rank_tail(n, ring.q, ring.s, rank)
 
 
@@ -334,17 +333,12 @@ def free_fraction_by_rank(n: int, ring: ChainRingSpec, rank: int) -> Fraction:
     and [n, K]_q is never built.  That quotient is in lowest terms: for
     K < n every chain in T but the all-zero one carries a power of q, so
     T = 1 mod q shares no prime with q; for K = n the numerator is 1.  So
-    its parts become the Fraction as they are, and no gcd runs.  It is
-    charged as count_free / total_by_rank, but before T is walked: the
-    total's budget checks, then count_free's.  Their [n, K]_q charges price
-    nothing this function builds; they are kept so that no input moves
-    between admitted and refused.
+    its parts become the Fraction as they are, and no gcd runs.  T's charge
+    is the only one: it covers the power, which is below T's top term.
     """
     _check_rank(n, rank)
-    exponent = (n - rank) * rank * (ring.s - 1)
-    _charge_rank_tail(n, ring.q, ring.s, rank)  # the tail's charges,
-    _charge("exact count", _count_cost, ring.q, [(n, rank)], exponent)  # then count_free's, before the walk
-    return _coprime_fraction(ring.q**exponent, _rank_tail(n, ring.q, ring.s, rank))
+    tail = _rank_tail(n, ring.q, ring.s, rank)
+    return _coprime_fraction(ring.q ** ((n - rank) * rank * (ring.s - 1)), tail)
 
 
 def matrix_count_by_type(m: int, n: int, ring: ChainRingSpec, mtype: Type) -> int:

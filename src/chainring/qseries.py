@@ -448,24 +448,36 @@ def _q_pascal(rows: int, base) -> list[list[int]]:
     return table
 
 
-def _total_cost(n: int, base, s: int, rank: int) -> int:
-    """Bit operations of the rank tail's walk below mu_1 = rank at s >= 2, a priori: (q-Pascal entries plus multiply-adds) times bits.
+def _rank_cost(n: int, rank: int, s: int, base) -> float:
+    """Bit operations of _rank_tail's steps, a priori, charged four times.
 
-    Row ``rank`` and s - 1 triangles, a q-Pascal table built once and read
-    at each of the positions 3..s (one at s = 2 all the same), times the
-    bits of 4^s (rank+1)^s b^E, E = rank (n - rank) + (s - 1) max mu (n - mu)
-    over mu <= rank, which bounds every value the walk builds.
+    In units of _unit_bits(base) bits: a sum kept over j positions is below
+    j (P units + log2(rank + 1) bits), P as in _rank_tail.  Positions 3..s
+    take a triangle of Horner steps each, at their mean size, and position 2
+    rank + 1.  A step multiplies by x = a^(n - prev) of at most n units,
+    adds a term padded by at most P log2(c) bits and, above the deepest
+    position, multiplies the sum below by a row entry of rank^2 / 12 units
+    on average; the interpreter adds 4096 a step.  The rows cost rank ratio
+    steps at s = 2, half a q-Pascal triangle above it.  Lopsided products by
+    x run slowest: at four times these prices the costliest tails admitted
+    take about 5 s on one core.
     """
-    triangle = (rank + 1) * (rank + 2) // 2
-    exponent = rank * (n - rank) + (s - 1) * (peak := min(rank, n // 2)) * (n - peak)
-    return ((s - 1) * triangle + rank + 1) * (math.ceil(exponent * _unit_bits(base)) + s * (2 + (rank + 1).bit_length()))
+    if s < 2:
+        return 0.0
+    unit, c = _unit_bits(base), base.as_integer_ratio()[1]
+    top = (peak := min(rank, n // 2)) * (n - peak)
+    value, triangle = top * unit + math.log2(rank + 1), (rank + 1) * (rank + 2) // 2
+    power, entry, pad = n * unit, rank * rank / 12 * unit, top * math.log2(c)
 
+    def steps(count, positions, deepest: bool) -> float:
+        bits = positions * value
+        return count * (_step_cost(bits, power) + _step_cost(bits, pad) + (0 if deepest else _step_cost(bits, entry)) + 4096)
 
-def _charge_rank_tail(n: int, base, s: int, rank: int):
-    """Charge the rank tail's walk below mu_1 = rank (none at s = 1, where T = 1), then the [n, rank] of the rank total."""
-    if s >= 2:
-        _charge(lambda: f"exact total at n={n}, s={s}", _total_cost, n, base, s, rank)
-    _charge("exact count", _count_cost, base, [(n, rank)], 0)
+    if s == 2:  # row rank by ratio steps, then position 2 alone
+        return 4 * (rank * _step_cost(entry, rank * unit, rank * unit) + steps(rank + 1, 1, True))
+    # the deepest position, the s - 3 between it and position 2, then position 2, after half a q-Pascal triangle
+    walk = steps(triangle, 1, True) + steps((s - 3) * triangle, s / 2, False) + steps(rank + 1, s - 1, False)
+    return 4 * (triangle / 2 * _step_cost(entry, rank * unit) + walk)
 
 
 def _rank_tail(n: int, base, s: int, rank: int):
@@ -476,13 +488,13 @@ def _rank_tail(n: int, base, s: int, rank: int):
     power base counts the submodules of that shape; the rank tail is the
     sum over the chains with mu_1 = rank of the factors from i = 2 on.  At
     an integer base q and rank < n every chain but the all-zero one carries
-    q^((n - rank) mu_2), so T = 1 mod q.  Its callers charge it first
-    (_charge_rank_tail).
+    q^((n - rank) mu_2), so T = 1 mod q.  The walk charges its own steps
+    (_rank_cost) before it starts.
 
-    The walk takes one whole position at a time, from position s up to
-    position 2, and keeps only the position below: for each part prev
-    before a position one sum, by Horner in x = a^(n - prev) over the parts
-    mu <= prev, each times the sum below mu.  At s >= 3 every position
+    The walk is one loop over the positions, from s up to 2, and keeps only
+    the position below: for each part prev before a position one sum, by
+    Horner in x = a^(n - prev) over the parts mu <= prev, each times the sum
+    below mu.  At s >= 3 every position
     reads every row up to rank, so those rows are built once as a q-Pascal
     table; at s = 2 the walk reads row ``rank`` alone, walked by
     _binomial_row (a base 1 or -1, where its ratio steps would divide by
@@ -494,17 +506,14 @@ def _rank_tail(n: int, base, s: int, rank: int):
     Every part is at most rank, so each mu (n - mu) is at most P = m (n - m),
     m = min(rank, floor(n / 2)): a term is padded by c^(P - mu (n - mu)), and
     the sum is one Fraction(total, c^((s - 1) P)).  At c = 1 it is an int.
-
-    The walk nests one call per position, so a depth s past Python's
-    recursion limit raises BudgetExceededError.
     """
+    _charge(lambda: f"exact total at n={n}, s={s}", _rank_cost, n, rank, s, base)
     a, c = base.as_integer_ratio()
     top = (peak := min(rank, n // 2)) * (n - peak)
     pascal = _q_pascal(rank, base) if s >= 3 else None
     lookup = a in (c, -c)
-
-    def level(pos: int) -> list:  # the sums below each prev, prev = rank at position 2 and 0..rank above it
-        below = level(pos + 1) if pos < s else None
+    below = None  # the sums the position below keeps, one per part 0..rank
+    for pos in range(s, 1, -1):
         sums = []
         for prev in (rank,) if pos == 2 else range(rank + 1):
             if pascal:
@@ -520,16 +529,8 @@ def _rank_tail(n: int, base, s: int, rank: int):
                     term *= below[mu]
                 total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
             sums.append(total)
-        return sums
-
-    try:
-        total = level(2)[0] if s >= 2 else 1
-    except RecursionError:  # level nests one call per position
-        raise BudgetExceededError(
-            f"exact total at n={n}, s={s} nests {s} positions, deeper than Python's recursion limit"
-        ) from None
-    finally:
-        del level  # level's cell refers to level: without this the table would live until a collection
+        below = sums
+    total = below[0] if below else 1
     return total if c == 1 else Fraction(total, c ** ((s - 1) * top))
 
 

@@ -327,18 +327,19 @@ def decimal_length(value: int) -> int:
         return int(mpmath.floor(mpmath.log10(mpmath.mpf(value)))) + 1
 
 
-def loop_total_estimate(n: int, base, s: int, rank: int) -> int:
-    """The a-priori rank-tail walk cost of ``qseries._total_cost``, one loop step per position."""
-    from chainring.qseries import _unit_bits
+def rank_tail_by_lengths(n: int, base, s: int, rank: int):
+    """The rank tail below mu_1 = rank at s >= 2, by length sums on rank instead of a walk.
 
-    def peak(lo: int, hi: int) -> int:
-        mu = min(max(n // 2, lo), hi)
-        return mu * (n - mu)
+    Splitting each exponent (n - mu_{i-1}) mu_i, i >= 2, into
+    (n - rank) mu_i + (rank - mu_{i-1}) mu_i leaves, past base^((n - rank) ell)
+    with ell = mu_2 + ... + mu_s, the weight of the chain
+    rank >= mu_2 >= ... >= mu_s in R^rank of depth s - 1.  So the tail is
+    sum_ell base^((n - rank) ell) N_{s-1}(rank, ell), summed by Horner.
+    """
+    from chainring.qseries import q_multinomial
 
-    triangle = (rank + 1) * (rank + 2) // 2
-    terms = triangle + rank + 1
-    for _ in range(3, s + 1):  # positions 3..s
-        terms += triangle
-    exponent = peak(rank, rank) + (s - 1) * peak(0, rank)
-    bits = math.ceil(exponent * _unit_bits(base)) + s * (2 + (rank + 1).bit_length())
-    return terms * bits
+    power = base ** (n - rank)
+    total = 0
+    for ell in range(rank * (s - 1), -1, -1):
+        total = total * power + q_multinomial(rank, ell, s - 1, base)
+    return total

@@ -20,7 +20,7 @@ from chainring import cli, density, simulate
 from chainring.errors import BudgetExceededError, NonconvergentError, ParameterError, VerificationError
 from chainring.modcount import ChainRingSpec, count_free, free_fraction_by_rank, matrix_count_by_type, total_by_rank
 
-from helpers import chain_dp_limit_density, decimal_length, leading_digits, sublattice_count
+from helpers import chain_dp_limit_density, decimal_length, leading_digits, rank_tail_by_lengths, sublattice_count
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -262,18 +262,11 @@ class TestExitCodes:
         status, out, err = run_cli(capsys, argv.split())
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "argv,s",
-        [
-            ("count rank --n 3 --q 2 --s 990 --K 1", 990),
-            ("prob free-rank --n 3 --q 2 --s 1100 --K 1", 1100),
-            ("density rank-trend --q 2 --s 1100 --rprime 1/2 --n-list 10,20", 1100),
-            ("density order-explore --n 3 --q 2 --s 1100 --ell 2", 1100),
-        ],
-    )
+    @pytest.mark.parametrize("argv,s", [("density order-explore --n 3 --q 2 --s 1100 --ell 2", 1100)])
     def test_walk_past_recursion_limit_exits_3(self, capsys, argv, s):
-        # the rank tail and the type walk nest one call per position; a length
-        # sum does not (TestCountAndProb.test_deep_count_length_is_a_lattice_count)
+        # the type walk nests one call per position; a length sum and a rank
+        # tail do not (TestCountAndProb.test_deep_count_length_is_a_lattice_count,
+        # test_deep_count_rank_is_a_sum_of_length_sums)
         status, out, err = run_cli(capsys, argv.split())
         assert (status, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and f"s={s} " in err
@@ -470,6 +463,31 @@ class TestCountAndProb:
         expected = Fraction(count_free(3, ChainRingSpec(q=2, s=1100), 1), sublattice_count(3, 1100, 2))
         assert status == 0 and Fraction(int(result["numerator"]), int(result["denominator"])) == expected
         assert result["decimal"] == "0.656250"
+
+    # the rank tail is one loop over the positions, so depths past the
+    # interpreter's recursion limit print; each value is checked against
+    # length sums on R^K (helpers.rank_tail_by_lengths), not against the walk
+    def test_deep_count_rank_is_a_sum_of_length_sums(self, capsys):
+        status, out, _ = run_cli(capsys, "count rank --n 3 --q 2 --s 990 --K 1 --format json".split())
+        assert rank_tail_by_lengths(3, 2, 990, 1) == (4**990 - 1) // 3
+        assert status == 0 and json.loads(out)["result"]["count"] == str(7 * rank_tail_by_lengths(3, 2, 990, 1))
+
+    def test_deep_prob_free_rank_is_a_ratio_of_length_sums(self, capsys):
+        status, out, _ = run_cli(capsys, "prob free-rank --n 3 --q 2 --s 1100 --K 1 --format json".split())
+        result = json.loads(out)["result"]
+        expected = Fraction(2 ** (2 * 1099), rank_tail_by_lengths(3, 2, 1100, 1))
+        assert status == 0 and Fraction(int(Decimal(result["numerator"])), int(Decimal(result["denominator"]))) == expected
+        assert result["decimal"] == "0.750000"
+
+    def test_deep_rank_trend_is_a_ratio_of_length_sums(self, capsys):
+        argv = "density rank-trend --q 2 --s 1100 --rprime 1/2 --n-list 4,10 --format json".split()
+        status, out, _ = run_cli(capsys, argv)
+        rows = json.loads(out)["result"]["rows"]
+        assert status == 0 and [(row["n"], row["K"]) for row in rows] == [(4, 2), (10, 5)]
+        for row in rows:
+            n, k = row["n"], row["K"]
+            expected = Fraction(2 ** ((n - k) * k * 1099), rank_tail_by_lengths(n, 2, 1100, k))
+            assert (int(Decimal(row["numerator"])), int(Decimal(row["denominator"]))) == expected.as_integer_ratio(), n
 
     def test_prob_table2_cell(self, capsys):
         _, out, _ = run_cli(capsys, ["prob", "free-rank", "--n", "100", "--q", "2", "--s", "2", "--K", "50"])

@@ -350,34 +350,43 @@ class TestCountBudget:
 
 _OVER = ", over the budget of 1.4e+11"
 _OVER3 = ", over the budget of 1.37e+11"  # a cost that rounds to the budget at two digits gets three
-_DEEP = ", deeper than Python's recursion limit"
 # (n, q, s, K, refusal of total_by_rank, refusal of free_fraction_by_rank),
-# None where admitted.  total_by_rank is charged the chain sum's budget,
-# then [n, K], then walked; free_fraction_by_rank is charged as
-# count_free / total_by_rank was when it built [n, K], but with count_free's
-# charge before the walk: (690000, s=2, K=3) and (40000, s=1000, K=1)
-# pass all but that charge, and the walk too deep at s = 1000 now refuses
-# only the total (see also test_by_rank_charges_the_count_before_the_walk).
+# None where admitted.  total_by_rank charges [n, K] (gaussian_binomial),
+# then the tail's walk (_rank_tail); free_fraction_by_rank charges the walk
+# alone, since it builds no [n, K].  Rows whose outcome moved when the
+# fraction's two [n, K] charges went and the walk got its own price are
+# marked "moved".
 RANK_REFUSALS = [
-    (4000, 2, 3, 2000, *["exact total at n=4000, s=3 needs about 4.8e+13 bit operations" + _OVER] * 2),
-    (5000, 2, 2, 2500, *["exact total at n=5000, s=2 needs about 3.9e+13 bit operations" + _OVER] * 2),
-    (300000, 2, 1, 10, *["exact count needs about 2.8e+11 bit operations" + _OVER] * 2),
-    (300000, 2, 2, 10, *["exact count needs about 2.8e+11 bit operations" + _OVER] * 2),
-    (10**7, 2, 1, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
-    (10**7, 2, 2, 1, *["exact count needs about 3.1e+12 bit operations" + _OVER] * 2),
-    (690000, 2, 2, 3, None, "exact count needs about 1.39e+11 bit operations" + _OVER3),
-    (700000, 2, 2, 3, *["exact count needs about 1.38e+11 bit operations" + _OVER3] * 2),
-    # refused by the [n, K] charges alone: with the budget lifted the fraction,
-    # which builds no [n, K] and runs no gcd, takes about 0.02 s here
-    (1360000, 2, 2, 3, *["exact count needs about 5.2e+11 bit operations" + _OVER] * 2),
     (
-        40000,
+        4000,
         2,
-        1000,
-        1,
-        "exact total at n=40000, s=1000 nests 1000 positions" + _DEEP,
-        "exact count needs about 2e+11 bit operations" + _OVER,
+        3,
+        2000,
+        "exact count needs about 1e+12 bit operations" + _OVER,
+        "exact total at n=4000, s=3 needs about 4.2e+14 bit operations" + _OVER,
     ),
+    (
+        5000,
+        2,
+        2,
+        2500,
+        "exact count needs about 2.5e+12 bit operations" + _OVER,
+        "exact total at n=5000, s=2 needs about 1.1e+12 bit operations" + _OVER,
+    ),
+    # moved: the fraction was refused by the [n, K] charges alone; it builds
+    # no [n, K] and runs no gcd, and takes at most 0.08 s here
+    (300000, 2, 1, 10, "exact count needs about 2.8e+11 bit operations" + _OVER, None),
+    (300000, 2, 2, 10, "exact count needs about 2.8e+11 bit operations" + _OVER, None),
+    (10**7, 2, 1, 1, "exact count needs about 3.1e+12 bit operations" + _OVER, None),
+    (10**7, 2, 2, 1, "exact count needs about 3.1e+12 bit operations" + _OVER, None),
+    (690000, 2, 2, 3, None, None),
+    (700000, 2, 2, 3, "exact count needs about 1.38e+11 bit operations" + _OVER3, None),
+    (1360000, 2, 2, 3, "exact count needs about 5.2e+11 bit operations" + _OVER, None),
+    # moved: both were admitted and walked for 5-12 s (s = 3) or 2 s (s = 20);
+    # s = 1000 was priced under the budget and stopped only by the recursion guard
+    (900, 2, 3, 450, *["exact total at n=900, s=3 needs about 5.2e+11 bit operations" + _OVER] * 2),
+    (2000000, 2, 20, 1, *["exact total at n=2000000, s=20 needs about 1.9e+12 bit operations" + _OVER] * 2),
+    (40000, 2, 1000, 1, *["exact total at n=40000, s=1000 needs about 1.1e+13 bit operations" + _OVER] * 2),
     (100000, 2, 1, 3, None, None),
     (100000, 2, 2, 3, None, None),
     (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd, the new one runs none
@@ -519,23 +528,25 @@ class TestFreeFractions:
         assert time.perf_counter() - start < 2
 
     def test_by_rank_charges_the_count_before_the_walk(self, monkeypatch):
-        # total_by_rank admits this input and walks T for about 2 s; the fraction's
-        # count_free charge refuses it before T is walked.  Not in RANK_REFUSALS,
-        # whose 2 s limit covers both functions.
+        # no rank refusal starts the walk: every charge, [n, K] and the walk's
+        # own, comes before the first row the walk reads
         def forbidden(*args):
-            raise AssertionError("walked T before count_free's charge")
+            raise AssertionError("built a row of the walk before a refusal")
 
-        monkeypatch.setattr(modcount, "_rank_tail", forbidden)
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceededError) as info:
-            free_fraction_by_rank(2000000, ChainRingSpec(q=2, s=20), 1)
-        assert str(info.value) == "exact count needs about 3.2e+11 bit operations" + _OVER
-        assert time.perf_counter() - start < 0.5
+        for name in ("_q_pascal", "_binomial_row", "_unit_binomial"):
+            monkeypatch.setattr(qseries, name, forbidden)
+        for n, q, s, k, *refusals in RANK_REFUSALS:
+            ring = ChainRingSpec(q=q, s=s)
+            for fn, refusal in zip((total_by_rank.__wrapped__, free_fraction_by_rank), refusals):
+                if refusal is not None:
+                    with pytest.raises(BudgetExceededError):
+                        fn(n, ring, k)
 
     def test_by_rank_charges_each_cost_once(self, monkeypatch):
-        # the tail's walk and [n, K], then count_free's product, then the walk
-        call = lambda: free_fraction_by_rank(150, ChainRingSpec(q=2, s=3), 75)  # noqa: E731
-        assert len(_spied_costs(monkeypatch, call)) == 3
+        # the total charges [n, K], then the walk; the fraction the walk alone
+        ring = ChainRingSpec(q=2, s=3)
+        assert len(_spied_costs(monkeypatch, lambda: total_by_rank.__wrapped__(150, ring, 75))) == 2
+        assert len(_spied_costs(monkeypatch, lambda: free_fraction_by_rank(150, ring, 75))) == 1
 
     @pytest.mark.parametrize(
         "n,q,s,ell,total_refusal,fraction_refusal",

@@ -21,7 +21,7 @@ from chainring.qseries import (
     q_multinomial,
 )
 
-from helpers import f2_subspace_count, loop_total_estimate, naive_chain_sum, naive_q_multinomial, sublattice_count
+from helpers import f2_subspace_count, naive_chain_sum, naive_q_multinomial, rank_tail_by_lengths, sublattice_count
 from test_exact_pins import _spied_costs
 
 HALF = Fraction(1, 2)
@@ -263,11 +263,9 @@ class TestQMultinomial:
             assert by_length == sum(rank_sum(n, base, s, k) for k in range(n + 1)), (n, s)
 
     @pytest.mark.parametrize("base", BASES)
-    def test_depth_stabilises(self, base, monkeypatch):
+    def test_depth_stabilises(self, base):
         # past s = ell every further part is 0 and weighs 1, so the depth-ell
-        # chains are all of them; the budget prices the walk, cubic in s,
-        # and would refuse s = 10^4, which the sum itself reaches at once
-        monkeypatch.setattr(qseries, "TOTAL_BUDGET", math.inf)
+        # chains are all of them
         for n in range(1, 5):
             for ell in range(7):
                 expected = naive_chain_sum(n, base, max(ell, 1), range(n + 1), ell)
@@ -276,6 +274,20 @@ class TestQMultinomial:
         # and they are the submodules of index base^ell in O^n, counted without chains
         for n, ell in ((12, 40), (30, 25), (3, 1100)):
             assert q_multinomial(n, ell, ell + 1, base) == sublattice_count(n, ell, base), (n, ell)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_rank_tail_is_a_sum_of_length_sums(self, base):
+        # the walk against the diagonal and Bailey sums on R^K, one position
+        # shallower; the walk is one loop, so no depth meets a recursion limit
+        kind = int if isinstance(base, int) else Fraction
+        cases = [(s, n, k) for s in range(2, 7) for n in range(6) for k in range(n + 1)]
+        cases += [(s, n, k) for s in (990, 1100) for n, k in ((3, 1), (4, 2))]
+        if kind is int:  # 10^4 length sums at a rational base take over a second
+            cases.append((10**4, 3, 1))
+        for s, n, k in cases:
+            tail = _rank_tail(n, base, s, k)
+            assert type(tail) is kind
+            assert tail == rank_tail_by_lengths(n, base, s, k), (s, n, k)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -384,9 +396,12 @@ class TestQMultinomial:
 
     def test_each_kernel_charges_once(self, monkeypatch):
         # q_multinomial makes no charge of its own: the Bailey sum makes one,
-        # the diagonal one before the two binomials of its first term
+        # the diagonal one before the two binomials of its first term, and
+        # the rank tail's walk one at every depth
         assert len(_spied_costs(monkeypatch, lambda: q_multinomial(200, 100, 3, 2))) == 1
         assert len(_spied_costs(monkeypatch, lambda: q_multinomial(2000, 200, 2, 2))) == 3
+        for s in (2, 3, 1100):
+            assert len(_spied_costs(monkeypatch, lambda: _rank_tail(200, 2, s, 5))) == 1
 
 
 def test_costs_past_the_float_range_refused():
@@ -397,16 +412,6 @@ def test_costs_past_the_float_range_refused():
     assert math.isnan(qseries._count_cost(5, [(2**1023, 1)], 0))
     with pytest.raises(BudgetExceededError, match=message):
         qseries._charge("exact count", qseries._count_cost, 5, [(2**1023, 1)], 0)
-
-
-def test_total_estimate_equals_loop():
-    # the closed form is the loop's integer: one triangle per position from 3 up
-    for base in (2, 3, Fraction(3, 2), Fraction(1, 3)):
-        for s in range(2, 40):
-            for rank in range(60):
-                for n in (rank, 2 * rank + 3):
-                    cost = qseries._total_cost(n, base, s, rank)
-                    assert cost == loop_total_estimate(n, base, s, rank), (base, s, rank, n)
 
 
 class TestBalancedMultinomial:
