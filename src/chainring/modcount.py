@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceededError, ParameterError
-from .qseries import _coprime_fraction, _exact_product, _rank_tail
+from .qseries import _charge, _coprime_fraction, _count_cost, _exact_product, _gaussian_binomial, _rank_tail
 from .qseries import gaussian_binomial, q_multinomial
 
 Type = tuple[int, ...]
@@ -298,10 +298,15 @@ def total_by_rank(n: int, ring: ChainRingSpec, rank: int) -> int:
     """Number of submodules of R^n of the given rank (all types combined).
 
     Rank is mu_1, so the total is [n, rank]_q times the chain sum T below
-    it (``qseries._rank_tail``); each charges itself, [n, rank]_q first.
+    it (``qseries._rank_tail``).  Both are charged before either is built:
+    [n, rank]_q first, as ``gaussian_binomial`` charges it, then the walk,
+    which charges itself on entry; [n, rank]_q is built last, uncached, so
+    a total refused for its walk builds no binomial.
     """
     _check_rank(n, rank)
-    return gaussian_binomial(n, rank, ring.q) * _rank_tail(n, ring.q, ring.s, rank)
+    _charge("exact count", _count_cost, ring.q, [(n, rank)], 0)
+    tail = _rank_tail(n, ring.q, ring.s, rank)
+    return _gaussian_binomial(n, rank, ring.q) * tail
 
 
 def free_fraction_by_length(n: int, ring: ChainRingSpec, ell: int) -> Fraction:

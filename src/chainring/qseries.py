@@ -30,14 +30,20 @@ def gaussian_binomial(n: int, k: int, base):
     n-dimensional space over the field with ``base`` elements.  At a base
     a/c in lowest terms the loop builds c^(k (n-k)) [n, k], an integer, and
     the value is one Fraction of it; an integer base (c = 1) gives an int.
+    The value is charged to TOTAL_BUDGET, then built by _gaussian_binomial.
     """
     if n < 0:
         raise ParameterError("n must be nonnegative")
-    a, c = base.as_integer_ratio()
     if k < 0 or k > n:
-        return 0 if c == 1 else Fraction(0)
-    k = min(k, n - k)  # symmetry keeps the loop short
+        return 0 if base.as_integer_ratio()[1] == 1 else Fraction(0)
     _charge("exact count", _count_cost, base, [(n, k)], 0)
+    return _gaussian_binomial(n, k, base)
+
+
+def _gaussian_binomial(n: int, k: int, base):
+    """[n, k] at the base for 0 <= k <= n, uncharged and uncached: gaussian_binomial's kernel."""
+    a, c = base.as_integer_ratio()
+    k = min(k, n - k)  # symmetry keeps the loop short
     if a in (c, -c):  # the product below would divide by b^i - 1 = 0
         return _unit_binomial(n, k, a)
     result = 1
@@ -196,26 +202,21 @@ def _count_cost(base, binomials, exponent: int, factors: int = 0) -> float:
     return cost + _product_cost(bits, factors - 1 + (exponent > 0))
 
 
-def _exact_product(base, binomials, exponent: int, spans=()):
-    """base^exponent * prod [m, k]_base * prod over (lo, hi) in spans of prod_{lo<i<=hi} (base^i - 1).
+def _exact_product(q: int, binomials, exponent: int, spans=()):
+    """q^exponent * prod [m, k]_q * prod over (lo, hi) in spans of prod_{lo<i<=hi} (q^i - 1), at the ring's q.
 
     Every closed-form count is one call, charged to TOTAL_BUDGET before any
     big-integer work.  A span is charged as sum(i) more exponent, the bits
     of its factors, and hi - lo more factors joining the product; its
-    factors are joined by _tree_product.
+    factors are built by _power_differences and joined by _tree_product.
     """
     span_exponent = sum((hi * (hi + 1) - lo * (lo + 1)) // 2 for lo, hi in spans)
-    _charge("exact count", _count_cost, base, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
-    result = base ** exponent
+    _charge("exact count", _count_cost, q, binomials, exponent + span_exponent, sum(hi - lo for lo, hi in spans))
+    result = q**exponent
     for m, k in binomials:
-        result *= gaussian_binomial(m, k, base)
+        result *= gaussian_binomial(m, k, q)
     for lo, hi in spans:
-        power = base ** lo
-        factors = []
-        for _ in range(lo, hi):
-            power *= base
-            factors.append(power - 1)
-        result *= _tree_product(factors)
+        result *= _tree_product(_power_differences(q, 1, lo + 1, hi + 1))
     return result
 
 
@@ -224,7 +225,7 @@ def _exact_product(base, binomials, exponent: int, spans=()):
 _SCHOOLBOOK_BITS = 2 * 70 * 30
 
 
-def _tree_product(factors: list):
+def _tree_product(factors: list[int]) -> int:
     """Product of ``factors``, joined pairwise level by level in a balanced tree.
 
     Each product then has two operands of about equal size, where Karatsuba
@@ -233,7 +234,7 @@ def _tree_product(factors: list):
     _SCHOOLBOOK_BITS bits between them, gain nothing from the tree and are
     joined in order.
     """
-    if len(factors) <= 3 or type(factors[0]) is int and sum(map(int.bit_length, factors)) < _SCHOOLBOOK_BITS:
+    if len(factors) <= 3 or sum(map(int.bit_length, factors)) < _SCHOOLBOOK_BITS:
         return math.prod(factors)
     while len(factors) > 3:
         pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
@@ -272,7 +273,7 @@ def _diagonal_sum(n: int, ell: int, base):
     T(mu) / T(mu - 1) = (b^(j+1) - 1)(b^(n-mu+1) - 1) / ((b^(mu-j-1) - 1)(b^(mu-j) - 1)),
     and the exponent of the power falls by n + ell + 1 - 2 mu from mu - 1 to
     mu, so the powers fold in by Horner.  At b = a/c in lowest terms the sum
-    runs on homogenised integers (see _rank_tail), the ratio with each
+    runs on homogenised integers (see _binomial_row), the ratio with each
     b^i - 1 read as a^i - c^i: T(mu) base^((n - mu) j) has the denominator
     c^(mu (n - mu) + j (n - j)), each term is padded to c^(2 P), P the
     largest mu (n - mu) over the parts, and the sum is one Fraction.  A base
@@ -425,53 +426,48 @@ def _unit_binomial(m: int, k: int, unit: int) -> int:
     return 0 if m % 2 == 0 and k % 2 else math.comb(m // 2, k // 2)
 
 
-def _q_pascal(rows: int, base) -> list[list[int]]:
-    """Homogenised Gaussian binomials c^(k (m-k)) [m, k] for 0 <= k <= m <= rows.
+def _q_pascal(rows: int, q: int) -> list[list[int]]:
+    """Gaussian binomials [m, k]_q for 0 <= k <= m <= rows, at an integer q.
 
-    The base is a/c in lowest terms, so every entry is an integer.  The
-    q-Pascal rule [m, k] = [m-1, k-1] + b^k [m-1, k], times c^(k (m-k)),
-    reads [m, k]_h = c^(m-k) [m-1, k-1]_h + a^k [m-1, k]_h and needs no
-    division; at an integer base (c = 1) no power of c is multiplied in.
-    It builds each row's first half, and [m, k] = [m, m-k], which the factor
-    c^(k (m-k)) keeps, gives the rest.
+    The q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k] needs no division.
+    It builds each row's first half, and [m, k] = [m, m-k] gives the rest.
     """
-    a, c = base.as_integer_ratio()
     table = [[1]]
     for m in range(1, rows + 1):
         above = table[-1]
         row = [1]
         power = 1
         for k in range(1, m // 2 + 1):
-            power *= a
-            row.append((above[k - 1] if c == 1 else above[k - 1] * c ** (m - k)) + power * above[k])
+            power *= q
+            row.append(above[k - 1] + power * above[k])
         table.append(row + row[m - m // 2 - 1 :: -1])
     return table
 
 
-def _rank_cost(n: int, rank: int, s: int, base) -> float:
+def _rank_cost(n: int, rank: int, s: int, q: int) -> float:
     """Bit operations of _rank_tail's steps, a priori, charged four times.
 
-    In units of _unit_bits(base) bits: a sum kept over j positions is below
-    j (P units + log2(rank + 1) bits), P as in _rank_tail.  Positions 3..s
-    take a triangle of Horner steps each, at their mean size, and position 2
-    rank + 1.  A step multiplies by x = a^(n - prev) of at most n units,
-    adds a term padded by at most P log2(c) bits and, above the deepest
-    position, multiplies the sum below by a row entry of rank^2 / 12 units
-    on average; the interpreter adds 4096 a step.  The rows cost rank ratio
-    steps at s = 2, half a q-Pascal triangle above it.  Lopsided products by
-    x run slowest: at four times these prices the costliest tails admitted
-    take about 5 s on one core.
+    In units of _unit_bits(q) bits: a sum kept over j positions is below
+    j (P units + log2(rank + 1) bits), P = m (n - m), m = min(rank, n // 2).
+    Positions 3..s take a triangle of Horner steps each, at their mean size,
+    and position 2 rank + 1.  A step multiplies by x = q^(n - prev) of at
+    most n units, adds a term and, above the deepest position, multiplies
+    the sum below by a row entry of rank^2 / 12 units on average; the
+    interpreter adds 4096 a step.  The rows cost rank ratio steps at s = 2,
+    half a q-Pascal triangle above it.  Lopsided products by x run slowest:
+    at four times these prices the costliest tails admitted take about 5 s
+    on one core.
     """
     if s < 2:
         return 0.0
-    unit, c = _unit_bits(base), base.as_integer_ratio()[1]
+    unit = _unit_bits(q)
     top = (peak := min(rank, n // 2)) * (n - peak)
     value, triangle = top * unit + math.log2(rank + 1), (rank + 1) * (rank + 2) // 2
-    power, entry, pad = n * unit, rank * rank / 12 * unit, top * math.log2(c)
+    power, entry = n * unit, rank * rank / 12 * unit
 
     def steps(count, positions, deepest: bool) -> float:
         bits = positions * value
-        return count * (_step_cost(bits, power) + _step_cost(bits, pad) + (0 if deepest else _step_cost(bits, entry)) + 4096)
+        return count * (_step_cost(bits, power) + bits + (0 if deepest else _step_cost(bits, entry)) + 4096)
 
     if s == 2:  # row rank by ratio steps, then position 2 alone
         return 4 * (rank * _step_cost(entry, rank * unit, rank * unit) + steps(rank + 1, 1, True))
@@ -480,63 +476,47 @@ def _rank_cost(n: int, rank: int, s: int, base) -> float:
     return 4 * (triangle / 2 * _step_cost(entry, rank * unit) + walk)
 
 
-def _rank_tail(n: int, base, s: int, rank: int):
-    """The rank tail T below mu_1 = rank: [n, rank] T is the rank sum.
+def _rank_tail(n: int, q: int, s: int, rank: int) -> int:
+    """The rank tail T below mu_1 = rank at the ring's q: [n, rank]_q T is the rank sum.
 
     A chain n = mu_0 >= mu_1 >= ... >= mu_s >= 0 is weighted by
-    prod_i [mu_{i-1}, mu_i] base^((n - mu_{i-1}) mu_i), which at a prime
-    power base counts the submodules of that shape; the rank tail is the
-    sum over the chains with mu_1 = rank of the factors from i = 2 on.  At
-    an integer base q and rank < n every chain but the all-zero one carries
-    q^((n - rank) mu_2), so T = 1 mod q.  The walk charges its own steps
-    (_rank_cost) before it starts.
+    prod_i [mu_{i-1}, mu_i]_q q^((n - mu_{i-1}) mu_i), the number of
+    submodules of that shape; T sums the factors from i = 2 on over the
+    chains with mu_1 = rank.  For rank < n every chain but the all-zero one
+    carries q^((n - rank) mu_2), so T = 1 mod q.  The walk charges its own
+    steps (_rank_cost) before it starts.
 
     The walk is one loop over the positions, from s up to 2, and keeps only
     the position below: for each part prev before a position one sum, by
-    Horner in x = a^(n - prev) over the parts mu <= prev, each times the sum
-    below mu.  At s >= 3 every position
-    reads every row up to rank, so those rows are built once as a q-Pascal
-    table; at s = 2 the walk reads row ``rank`` alone, walked by
-    _binomial_row (a base 1 or -1, where its ratio steps would divide by
-    zero, reads each entry), and at s = 1 T is 1.
-
-    The walk runs on integers at every base.  At b = a/c in lowest terms it
-    reads homogenised binomials [m, k]_h = c^(k (m-k)) [m, k], and a chain's
-    i-th factor is [mu_{i-1}, mu_i]_h a^((n - mu_{i-1}) mu_i) / c^(mu_i (n - mu_i)).
-    Every part is at most rank, so each mu (n - mu) is at most P = m (n - m),
-    m = min(rank, floor(n / 2)): a term is padded by c^(P - mu (n - mu)), and
-    the sum is one Fraction(total, c^((s - 1) P)).  At c = 1 it is an int.
+    Horner in x = q^(n - prev) over the parts mu <= prev, each times the sum
+    below mu.  At s >= 3 every position reads every row up to rank, so
+    those rows are built once as a q-Pascal table; at s = 2 the walk reads
+    row ``rank`` alone, walked by _binomial_row, and at s = 1 T is 1.
     """
-    _charge(lambda: f"exact total at n={n}, s={s}", _rank_cost, n, rank, s, base)
-    a, c = base.as_integer_ratio()
-    top = (peak := min(rank, n // 2)) * (n - peak)
-    pascal = _q_pascal(rank, base) if s >= 3 else None
-    lookup = a in (c, -c)
+    _charge(lambda: f"exact total at n={n}, s={s}", _rank_cost, n, rank, s, q)
+    pascal = _q_pascal(rank, q) if s >= 3 else None
     below = None  # the sums the position below keeps, one per part 0..rank
     for pos in range(s, 1, -1):
         sums = []
         for prev in (rank,) if pos == 2 else range(rank + 1):
-            if pascal:
-                row = pascal[prev]
-            elif lookup:
-                row = (_unit_binomial(prev, mu, a) for mu in range(prev + 1))
-            else:
-                row = _binomial_row(prev, a, c)
-            x = a ** (n - prev)
+            row = pascal[prev] if pascal else _binomial_row(prev, q, 1)
+            x = q ** (n - prev)
             total = 0
             for mu, term in zip(range(prev, -1, -1), row):  # Horner in x; a row reads the same from either end
                 if below is not None:  # past the last part the suffix is 1
                     term *= below[mu]
-                total = total * x + (term if c == 1 else term * c ** (top - mu * (n - mu)))
+                total = total * x + term
             sums.append(total)
         below = sums
-    total = below[0] if below else 1
-    return total if c == 1 else Fraction(total, c ** ((s - 1) * top))
+    return below[0] if below else 1
 
 
 def _binomial_row(m: int, a: int, c: int):
     """Yield [m, k]_h = c^(k (m-k)) [m, k] at the base a/c for k = 0, 1, ..., m.
 
+    The length sums run on these homogenised integers: at b = a/c in lowest
+    terms [m, k] has the denominator c^(k (m-k)), each b^i - 1 reads as
+    a^i - c^i, and a sum pads its terms to one power of c and is one Fraction.
     [m, k+1] = [m, k] (b^(m-k) - 1) / (b^(k+1) - 1), and the power of c the
     ratio brings is the one between the homogenising factors, so
     [m, k+1]_h = [m, k]_h (a^(m-k) - c^(m-k)) / (a^(k+1) - c^(k+1)), an exact

@@ -22,7 +22,9 @@ from chainring.modcount import (
     count_by_shape,
     count_by_type,
     count_free,
+    free_fraction_by_rank,
     matrix_count_by_type,
+    total_by_rank,
     unimodular_probability,
 )
 from chainring.qseries import gaussian_binomial
@@ -140,6 +142,18 @@ LIBRARY_INPUTS = {
     "count_free(1000, q=2 s=1000, 500)": lambda: count_free(1000, ChainRingSpec(q=2, s=1000), 500),
     "count_free(100000, q=3 s=2, 1)": lambda: count_free(100000, ChainRingSpec(q=3, s=2), 1),
     "count_by_shape(100000, q=3 s=2, (1, 1))": lambda: count_by_shape(100000, ChainRingSpec(q=3, s=2), (1, 1)),
+    # rank totals charge [n, K], then the walk; rank fractions the walk alone
+    "total_by_rank(60, q=2 s=2, 30)": lambda: total_by_rank.__wrapped__(60, ChainRingSpec(q=2, s=2), 30),
+    "total_by_rank(60, q=7 s=3, 20)": lambda: total_by_rank.__wrapped__(60, ChainRingSpec(q=7, s=3), 20),
+    "total_by_rank(40, q=2 s=6, 10)": lambda: total_by_rank.__wrapped__(40, ChainRingSpec(q=2, s=6), 10),
+    "total_by_rank(3, q=2 s=1100, 1)": lambda: total_by_rank.__wrapped__(3, ChainRingSpec(q=2, s=1100), 1),
+    "total_by_rank(2000, q=2 s=3, 1000)": lambda: total_by_rank.__wrapped__(2000, ChainRingSpec(q=2, s=3), 1000),
+    "free_fraction_by_rank(60, q=7 s=2, 30)": lambda: free_fraction_by_rank(60, ChainRingSpec(q=7, s=2), 30),
+    "free_fraction_by_rank(100, q=2 s=3, 50)": lambda: free_fraction_by_rank(100, ChainRingSpec(q=2, s=3), 50),
+    "free_fraction_by_rank(30, q=7 s=6, 15)": lambda: free_fraction_by_rank(30, ChainRingSpec(q=7, s=6), 15),
+    "free_fraction_by_rank(4, q=7 s=1100, 2)": lambda: free_fraction_by_rank(4, ChainRingSpec(q=7, s=1100), 2),
+    "free_fraction_by_rank(10**7, q=7 s=2, 3)": lambda: free_fraction_by_rank(10**7, ChainRingSpec(q=7, s=2), 3),
+    "free_fraction_by_rank(300000, q=7 s=6, 3)": lambda: free_fraction_by_rank(300000, ChainRingSpec(q=7, s=6), 3),
 }
 
 PINNED_COSTS = {
@@ -150,6 +164,17 @@ PINNED_COSTS = {
     "count_free(1000, q=2 s=1000, 500)": ["0x1.a27328a1e9d15p+41"],
     "count_free(100000, q=3 s=2, 1)": ["0x1.a242fa92b2226p+29", "0x1.7668b0f79fcf6p+29"],
     "count_by_shape(100000, q=3 s=2, (1, 1))": ["0x1.a242fa92b2226p+29", "0x0.0p+0", "0x1.7668b0f79fcf6p+29"],
+    "total_by_rank(60, q=2 s=2, 30)": ["0x1.a6d0000000000p+15", "0x1.8b6d60dcbfad8p+19"],
+    "total_by_rank(60, q=7 s=3, 20)": ["0x1.076c84a42090fp+18", "0x1.7dea379a2af4dp+23"],
+    "total_by_rank(40, q=2 s=6, 10)": ["0x1.7980000000000p+12", "0x1.c214db739b18ap+22"],
+    "total_by_rank(3, q=2 s=1100, 1)": ["0x1.0000000000000p+3", "0x1.c930eab3916fcp+26"],
+    "total_by_rank(2000, q=2 s=3, 1000)": ["0x1.dcd68e8000000p+35", "0x1.0b113f60b1125p+44"],
+    "free_fraction_by_rank(60, q=7 s=2, 30)": ["0x1.83fc60758bb35p+20"],
+    "free_fraction_by_rank(100, q=2 s=3, 50)": ["0x1.eec723c94b0c2p+25"],
+    "free_fraction_by_rank(30, q=7 s=6, 15)": ["0x1.6758dd4279652p+24"],
+    "free_fraction_by_rank(4, q=7 s=1100, 2)": ["0x1.46b730ef01eadp+29"],
+    "free_fraction_by_rank(10**7, q=7 s=2, 3)": ["0x1.399ef8a1e830dp+41"],
+    "free_fraction_by_rank(300000, q=7 s=6, 3)": ["0x1.245ab6482b2a6p+38"],
     "count free --n 4000 --q 2 --s 3 --K 2000": ["0x1.e2f8370b4eda7p+39"],
     "count free --n 1000 --q 2 --s 1000 --K 500": ["0x1.a27328a1e9d15p+41"],
     "count type --n 4000 --q 2 --s 2 --type 2000,0": ["0x1.dc87a61f32740p+39"],

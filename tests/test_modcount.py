@@ -351,9 +351,9 @@ class TestCountBudget:
 _OVER = ", over the budget of 1.4e+11"
 _OVER3 = ", over the budget of 1.37e+11"  # a cost that rounds to the budget at two digits gets three
 # (n, q, s, K, refusal of total_by_rank, refusal of free_fraction_by_rank),
-# None where admitted.  total_by_rank charges [n, K] (gaussian_binomial),
-# then the tail's walk (_rank_tail); free_fraction_by_rank charges the walk
-# alone, since it builds no [n, K].  Rows whose outcome moved when the
+# None where admitted.  total_by_rank charges [n, K], then the tail's walk
+# (_rank_tail), and builds [n, K] last; free_fraction_by_rank charges the
+# walk alone, since it builds no [n, K].  Rows whose outcome moved when the
 # fraction's two [n, K] charges went and the walk got its own price are
 # marked "moved".
 RANK_REFUSALS = [
@@ -390,6 +390,8 @@ RANK_REFUSALS = [
     (100000, 2, 1, 3, None, None),
     (100000, 2, 2, 3, None, None),
     (2000000, 2, 2, 1, None, None),  # the old quotient took 25 s in Fraction's gcd, the new one runs none
+    # [2000, 1000]_2 is admitted and the walk is not: the total built the binomial, 1.7 s, before its refusal
+    (2000, 2, 3, 1000, *["exact total at n=2000, s=3 needs about 1.8e+13 bit operations" + _OVER] * 2),
 ]
 # (n, q, s, ell, refusal of total_by_length, refusal of free_fraction_by_length),
 # None where admitted, one case per refusal of the length sum: the kernel's
@@ -500,10 +502,11 @@ class TestFreeFractions:
     def test_by_rank_builds_no_binomial_over_n(self, monkeypatch):
         # [n, K] cancels between count_free and the total, so it is never asked for
         asked = []
-        binomial = qseries.gaussian_binomial
-        spy = lambda m, k, base: asked.append((m, k)) or binomial(m, k, base)  # noqa: E731
-        monkeypatch.setattr(qseries, "gaussian_binomial", spy)
-        monkeypatch.setattr(modcount, "gaussian_binomial", spy)
+        for module in (qseries, modcount):
+            for name in ("gaussian_binomial", "_gaussian_binomial"):  # the cached binomial and its kernel, which the total reads
+                binomial = getattr(module, name)
+                spy = lambda m, k, base, binomial=binomial: asked.append((m, k)) or binomial(m, k, base)  # noqa: E731
+                monkeypatch.setattr(module, name, spy)
         for q, s in ((2, 1), (3, 2), (2, 3), (5, 4)):
             for k in range(13):
                 free_fraction_by_rank(12, ChainRingSpec(q=q, s=s), k)
@@ -528,13 +531,15 @@ class TestFreeFractions:
         assert time.perf_counter() - start < 2
 
     def test_by_rank_charges_the_count_before_the_walk(self, monkeypatch):
-        # no rank refusal starts the walk: every charge, [n, K] and the walk's
-        # own, comes before the first row the walk reads
+        # no rank refusal starts a kernel: every charge, [n, K] and the walk's
+        # own, comes before the first row the walk reads and before [n, K] is built
         def forbidden(*args):
-            raise AssertionError("built a row of the walk before a refusal")
+            raise AssertionError("built a row of the walk or [n, K] before a refusal")
 
-        for name in ("_q_pascal", "_binomial_row", "_unit_binomial"):
+        for name in ("_q_pascal", "_binomial_row"):
             monkeypatch.setattr(qseries, name, forbidden)
+        for module in (qseries, modcount):
+            monkeypatch.setattr(module, "_gaussian_binomial", forbidden)
         for n, q, s, k, *refusals in RANK_REFUSALS:
             ring = ChainRingSpec(q=q, s=s)
             for fn, refusal in zip((total_by_rank.__wrapped__, free_fraction_by_rank), refusals):
